@@ -18,12 +18,11 @@ from multiprocessing import Pool
 from typing import Callable, Iterator, Optional, TextIO
 
 from .closedform import (
+    closed_coefficients,
     conjecture_predicate,
     has_spin,
     spin_sufficient,
-    w3_coefficients,
     w3_vanishes_big,
-    w4_coefficients,
     w4_vanishes_big,
 )
 from .digraph import from_matrix, has_spin_digraph
@@ -32,6 +31,8 @@ from .model import (
     DimensionVector,
     ReducedMatrix,
     elementary_component,
+    identity_rows,
+    serialize_matrix,
     validate,
 )
 from .oracle import (
@@ -76,11 +77,7 @@ def space_size(omega: DimensionVector) -> int:
 def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
     layout = bit_layout(omega)
     nbits = len(layout)
-    rows = [0] * omega.n
-    for i in range(omega.k):
-        off = omega.offset(i)
-        for t in range(omega[i]):
-            rows[off + t] |= 1 << i
+    rows = identity_rows(omega)
     for pos, (r, c) in enumerate(layout):
         if (counter >> (nbits - 1 - pos)) & 1:
             rows[r] |= 1 << c
@@ -163,10 +160,7 @@ def sample_valid(
 
 def compact_matrix(A: ReducedMatrix) -> str:
     """Rows as 0/1 strings joined by '/', small enough for one JSON line."""
-    return "/".join(
-        "".join(str(A.mat.entry(r, c)) for c in range(A.omega.k))
-        for r in range(A.omega.n)
-    )
+    return "/".join(serialize_matrix(A).splitlines()[1:])
 
 
 @dataclass(frozen=True)
@@ -243,6 +237,42 @@ def build_record(A: ReducedMatrix, flags: list[str]) -> CensusRecord:
     )
 
 
+def _run(
+    omega: DimensionVector,
+    counts: dict[str, int],
+    check: Callable[[ReducedMatrix, DiscrepancyReport], list[str]],
+    sample: Optional[int],
+    budget: int,
+    seed: int,
+    threads: int,
+    sink: Sink,
+) -> DiscrepancyReport:
+    """Run `check` on every valid matrix of the family, or on `sample` seeded draws.
+
+    The check returns the discrepancy flags of one matrix and may bump the
+    report's counts.  A census record is built only for a sink or a flagged
+    matrix.
+    """
+    if sample is None:
+        matrices = enumerate_valid(omega, budget=budget, threads=threads)
+        total = space_size(omega)
+    else:
+        matrices = sample_valid(omega, sample, seed=seed)
+        total = sample
+    report = DiscrepancyReport(omega.dims, total, 0, counts)
+    for A in matrices:
+        report.total_valid += 1
+        flags = check(A, report)
+        if not flags and sink is None:
+            continue
+        rec = build_record(A, flags)
+        if flags:
+            report.discrepancies.append(rec)
+        if sink is not None:
+            sink(rec)
+    return report
+
+
 def crosscheck_spin(
     omega: DimensionVector,
     budget: int = DEFAULT_BUDGET,
@@ -254,10 +284,9 @@ def crosscheck_spin(
     Also enforces that the sufficient condition implies Spin, and that it
     is exactly Spin when no factor is an interval.
     """
-    report = DiscrepancyReport(omega.dims, space_size(omega), 0, {"orientable": 0, "spin": 0})
     l_zero = omega.l == 0
-    for A in enumerate_valid(omega, budget=budget, threads=threads):
-        report.total_valid += 1
+
+    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
         closed = has_spin(A)
         dig = has_spin_digraph(from_matrix(A)).spin
         orac = oracle_has_spin(A)
@@ -271,33 +300,12 @@ def crosscheck_spin(
             flags.append("sufficient-but-not-spin")
         if l_zero and suff != closed.spin:
             flags.append("l0-necessity-mismatch")
-        if closed.orientable:
-            report.counts["orientable"] += 1
-        if closed.spin:
-            report.counts["spin"] += 1
-        rec = build_record(A, flags)
-        if flags:
-            report.discrepancies.append(rec)
-        if sink is not None:
-            sink(rec)
-    return report
+        report.counts["orientable"] += closed.orientable
+        report.counts["spin"] += closed.spin
+        return flags
 
-
-def _w_record(A: ReducedMatrix, m: int) -> tuple[CensusRecord, bool]:
-    if m == 3:
-        table = w3_coefficients(A)
-        vanish = w3_vanishes_big(A)
-    else:
-        table = w4_coefficients(A)
-        vanish = w4_vanishes_big(A)
-    flags = []
-    closed_poly = table.polynomial(A.omega.k)
-    expansion = total_sw_truncated(A, m).degree_part(m)
-    if closed_poly != expansion:
-        flags.append(f"w{m}-expansion-mismatch")
-    if vanish != oracle_class_is_zero(A, m):
-        flags.append(f"w{m}-vanish-mismatch")
-    return build_record(A, flags), vanish
+    counts = {"orientable": 0, "spin": 0}
+    return _run(omega, counts, check, None, budget, DEFAULT_SEED, threads, sink)
 
 
 def crosscheck_w(
@@ -321,25 +329,19 @@ def crosscheck_w(
         raise ValueError("closed forms cover degrees 3 and 4 only")
     if any(d < m for d in omega.dims):
         raise ValueError(f"every factor dimension must be at least {m}")
-    report = DiscrepancyReport(omega.dims, 0, 0, {"vanish": 0})
-    if sample is None:
-        matrices: Iterator[ReducedMatrix] = enumerate_valid(
-            omega, budget=budget, threads=threads
-        )
-        report.total_enumerated = space_size(omega)
-    else:
-        matrices = sample_valid(omega, sample, seed=seed)
-        report.total_enumerated = sample
-    for A in matrices:
-        report.total_valid += 1
-        rec, vanish = _w_record(A, m)
-        if vanish:
-            report.counts["vanish"] += 1
-        if rec.flags:
-            report.discrepancies.append(rec)
-        if sink is not None:
-            sink(rec)
-    return report
+
+    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
+        closed_poly = closed_coefficients(A, m).polynomial(A.omega.k)
+        vanish = (w3_vanishes_big if m == 3 else w4_vanishes_big)(A)
+        flags = []
+        if closed_poly != total_sw_truncated(A, m).degree_part(m):
+            flags.append(f"w{m}-expansion-mismatch")
+        if vanish != oracle_class_is_zero(A, m):
+            flags.append(f"w{m}-vanish-mismatch")
+        report.counts["vanish"] += vanish
+        return flags
+
+    return _run(omega, {"vanish": 0}, check, sample, budget, seed, threads, sink)
 
 
 def verify_elementary(
@@ -355,14 +357,10 @@ def verify_elementary(
     """
     if omega.k < 2:
         raise ValueError("needs at least two factors")
-    report = DiscrepancyReport(
-        omega.dims, space_size(omega), 0, {"spin": 0, "component-invalid": 0}
-    )
-    for A in enumerate_valid(omega, budget=budget, threads=threads):
-        report.total_valid += 1
+
+    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
         whole = has_spin(A).spin
-        if whole:
-            report.counts["spin"] += 1
+        report.counts["spin"] += whole
         comp_spins = []
         broken = []
         for i, j in itertools.combinations(range(omega.k), 2):
@@ -371,7 +369,6 @@ def verify_elementary(
                 broken.append((i, j))
             else:
                 comp_spins.append(has_spin(C).spin)
-        flags = []
         if broken:
             report.counts["component-invalid"] += 1
             tags = ",".join(f"{i + 1}-{j + 1}" for i, j in broken)
@@ -379,13 +376,11 @@ def verify_elementary(
                 build_record(A, [f"component-invalid:{tags}"])
             )
         elif whole != all(comp_spins):
-            flags.append("elementary-decomposition-mismatch")
-        rec = build_record(A, flags)
-        if flags:
-            report.discrepancies.append(rec)
-        if sink is not None:
-            sink(rec)
-    return report
+            return ["elementary-decomposition-mismatch"]
+        return []
+
+    counts = {"spin": 0, "component-invalid": 0}
+    return _run(omega, counts, check, None, budget, DEFAULT_SEED, threads, sink)
 
 
 def verify_conjecture(
@@ -407,31 +402,13 @@ def verify_conjecture(
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
     top = 3 if t == 1 else 4
-    report = DiscrepancyReport(
-        omega.dims, 0, 0, {"predicate": 0, "oracle-vanish": 0}
-    )
-    if sample is None:
-        matrices: Iterator[ReducedMatrix] = enumerate_valid(
-            omega, budget=budget, threads=threads
-        )
-        report.total_enumerated = space_size(omega)
-    else:
-        matrices = sample_valid(omega, sample, seed=seed)
-        report.total_enumerated = sample
-    for A in matrices:
-        report.total_valid += 1
+
+    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
         pred = conjecture_predicate(A, t, reading)
         vanish = all(oracle_class_is_zero(A, m) for m in range(1, top + 1))
-        flags = []
-        if pred != vanish:
-            flags.append(f"conjecture-t{t}-{reading}-mismatch")
-        if pred:
-            report.counts["predicate"] += 1
-        if vanish:
-            report.counts["oracle-vanish"] += 1
-        rec = build_record(A, flags)
-        if flags:
-            report.discrepancies.append(rec)
-        if sink is not None:
-            sink(rec)
-    return report
+        report.counts["predicate"] += pred
+        report.counts["oracle-vanish"] += vanish
+        return [f"conjecture-t{t}-{reading}-mismatch"] if pred != vanish else []
+
+    counts = {"predicate": 0, "oracle-vanish": 0}
+    return _run(omega, counts, check, sample, budget, seed, threads, sink)

@@ -6,11 +6,12 @@ Exit codes are a contract: 0 affirmative or clean, 1 negative verdict,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NoReturn, Optional
 
 import click
 
@@ -18,24 +19,16 @@ from .census import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     BudgetError,
-    CensusRecord,
     DiscrepancyReport,
+    Sink,
+    _run,
     crosscheck_spin,
     crosscheck_w,
-    space_size,
     verify_conjecture,
     verify_elementary,
     write_census_header,
-    enumerate_valid,
-    build_record,
 )
-from .closedform import (
-    CONJECTURE_READINGS,
-    has_spin,
-    w2_coefficients,
-    w3_coefficients,
-    w4_coefficients,
-)
+from .closedform import CONJECTURE_READINGS, closed_coefficients, has_spin
 from .digraph import (
     CyclicDigraphError,
     DigraphFormatError,
@@ -50,11 +43,11 @@ from .model import (
     MatrixFormatError,
     ReducedMatrix,
     parse_matrix,
+    require_valid,
     serialize_matrix,
-    validate,
+    validate,  # unused here, but bound so the benchmark tracer can wrap it
 )
 from .oracle import (
-    GradedPolynomial,
     normal_form,
     polynomial_str,
     relation_generators,
@@ -68,7 +61,7 @@ EXIT_BUDGET = 3
 EXIT_DISCREPANCY = 4
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(message, err=True)
     sys.exit(code)
 
@@ -78,27 +71,16 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(EXIT_INPUT, f"cannot read {path}: {exc}")
-        raise AssertionError  # unreachable
 
 
 def _load_matrix(path: str) -> ReducedMatrix:
+    """Parse and validate a matrix file; either failure exits 2."""
     try:
-        return parse_matrix(_read_text(path))
-    except MatrixFormatError as exc:
+        A = parse_matrix(_read_text(path))
+        require_valid(A)
+    except (MatrixFormatError, InvalidMatrixError) as exc:
         _fail(EXIT_INPUT, f"{path}: {exc}")
-        raise AssertionError
-
-
-def _checked(A: ReducedMatrix, path: str) -> None:
-    report = validate(A)
-    if not report.valid:
-        sel = tuple(x + 1 for x in report.failing_selection)
-        sub = tuple(sorted(x + 1 for x in report.failing_subset))
-        _fail(
-            EXIT_INPUT,
-            f"{path}: not a characteristic matrix; principal minor vanishes "
-            f"at row selection {sel}, column subset {sub}",
-        )
+    return A
 
 
 def _parse_omega(text: str) -> DimensionVector:
@@ -107,7 +89,6 @@ def _parse_omega(text: str) -> DimensionVector:
         return DimensionVector(dims)
     except ValueError as exc:
         _fail(EXIT_INPUT, f"bad omega {text!r}: {exc}")
-        raise AssertionError
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
@@ -130,7 +111,6 @@ def main() -> None:
 def check(matrix_file: str, as_json: bool) -> None:
     """Validity, orientability and Spin verdict for a matrix file."""
     A = _load_matrix(matrix_file)
-    _checked(A, matrix_file)
     report = has_spin(A)
     k = A.omega.k
     dots: dict[str, int] = {}
@@ -158,21 +138,6 @@ def check(matrix_file: str, as_json: bool) -> None:
     sys.exit(EXIT_OK if report.spin else EXIT_NEGATIVE)
 
 
-def _closed_polynomial(A: ReducedMatrix, m: int) -> GradedPolynomial:
-    if m == 1:
-        terms = [
-            tuple(1 if t == i else 0 for t in range(A.omega.k))
-            for i in range(A.omega.k)
-            if (A.k_count([i]) + 1) % 2 == 1
-        ]
-        return GradedPolynomial.from_terms(A.omega.k, terms)
-    if m == 2:
-        return w2_coefficients(A).polynomial(A.omega.k)
-    if m == 3:
-        return w3_coefficients(A).polynomial(A.omega.k)
-    return w4_coefficients(A).polynomial(A.omega.k)
-
-
 @main.command()
 @click.argument("matrix_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--degree", "-m", type=int, required=True, help="Class degree.")
@@ -195,7 +160,6 @@ def sw(
     if not picked:
         use_both = True
     A = _load_matrix(matrix_file)
-    _checked(A, matrix_file)
     n = A.omega.n
     want_closed = use_closed or use_both
     want_oracle = use_oracle or use_both
@@ -209,7 +173,7 @@ def sw(
     obj: dict = {"degree": degree}
     closed_poly = oracle_poly = None
     if want_closed:
-        closed_poly = _closed_polynomial(A, degree)
+        closed_poly = closed_coefficients(A, degree).polynomial(A.omega.k)
         lines.append(f"closed w{degree}: {polynomial_str(closed_poly)}")
         obj["closed"] = polynomial_str(closed_poly)
     if want_oracle:
@@ -237,17 +201,11 @@ def sw(
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
 def convert(input_file: str, target: str, output: Optional[str]) -> None:
     """Convert between the matrix text format and the digraph JSON format."""
-    text = _read_text(input_file)
     if target == "digraph":
-        try:
-            A = parse_matrix(text)
-        except MatrixFormatError as exc:
-            _fail(EXIT_INPUT, f"{input_file}: {exc}")
-        _checked(A, input_file)
-        out = serialize_digraph(from_matrix(A))
+        out = serialize_digraph(from_matrix(_load_matrix(input_file)))
     else:
         try:
-            G = parse_digraph(text)
+            G = parse_digraph(_read_text(input_file))
         except (DigraphFormatError, CyclicDigraphError, ValueError) as exc:
             _fail(EXIT_INPUT, f"{input_file}: {exc}")
         out = serialize_matrix(to_matrix(G))
@@ -258,17 +216,36 @@ def convert(input_file: str, target: str, output: Optional[str]) -> None:
     sys.exit(EXIT_OK)
 
 
-def _census_writer(path: Optional[str], omega: DimensionVector, seed: int, budget: int):
-    """Returns (sink, closer); both no-ops when no census path is given."""
-    if path is None:
-        return None, lambda: None
-    fh = open(path, "w", encoding="utf-8")
-    write_census_header(fh, omega, seed, budget)
+def _run_family(
+    omega_text: str,
+    census_path: Optional[str],
+    seed: int,
+    budget: int,
+    driver: Callable[..., DiscrepancyReport],
+) -> DiscrepancyReport:
+    """Parse omega and return driver(omega, sink=...), streaming an optional census.
 
-    def sink(rec: CensusRecord) -> None:
-        fh.write(rec.to_json() + "\n")
-
-    return sink, fh.close
+    A budget refusal exits 3 and an input error exits 2; either way the
+    census file is removed, so a failed run leaves none behind.
+    """
+    omega = _parse_omega(omega_text)
+    fh = None if census_path is None else open(census_path, "w", encoding="utf-8")
+    try:
+        sink: Sink = None
+        if fh is not None:
+            write_census_header(fh, omega, seed, budget)
+            sink = lambda rec: fh.write(rec.to_json() + "\n")
+        return driver(omega, sink=sink)
+    except BudgetError as exc:
+        code, message = EXIT_BUDGET, str(exc)
+    except ValueError as exc:
+        code, message = EXIT_INPUT, str(exc)
+    finally:
+        if fh is not None:
+            fh.close()
+    if census_path is not None:
+        Path(census_path).unlink()
+    _fail(code, message)
 
 
 def _report_exit(report: DiscrepancyReport, as_json: bool, extra: dict) -> None:
@@ -312,22 +289,24 @@ def enumerate_cmd(
     omega_text: str, budget: int, threads: int, census_path: Optional[str], as_json: bool
 ) -> None:
     """Enumerate the valid matrices of a family, optionally writing a census."""
-    omega = _parse_omega(omega_text)
-    sink, close = _census_writer(census_path, omega, DEFAULT_SEED, budget)
-    count = 0
-    try:
-        for A in enumerate_valid(omega, budget=budget, threads=threads):
-            count += 1
-            if sink is not None:
-                sink(build_record(A, []))
-    except BudgetError as exc:
-        close()
-        _fail(EXIT_BUDGET, str(exc))
-    finally:
-        close()
-    obj = {"omega": list(omega.dims), "space": space_size(omega), "valid": count}
-    _emit(obj, as_json, [f"space: {space_size(omega)}, valid: {count}"])
+    def driver(omega: DimensionVector, sink: Sink) -> DiscrepancyReport:
+        return _run(omega, {}, lambda A, report: [], None, budget, DEFAULT_SEED, threads, sink)
+
+    report = _run_family(omega_text, census_path, DEFAULT_SEED, budget, driver)
+    space, valid = report.total_enumerated, report.total_valid
+    obj = {"omega": list(report.omega), "space": space, "valid": valid}
+    _emit(obj, as_json, [f"space: {space}, valid: {valid}"])
     sys.exit(EXIT_OK)
+
+
+# --check choice -> census driver; only the w checks take --sample and --seed.
+_VERIFY = {
+    "spin": crosscheck_spin,
+    "w3": functools.partial(crosscheck_w, m=3),
+    "w4": functools.partial(crosscheck_w, m=4),
+    "elementary": verify_elementary,
+}
+_SAMPLED = ("w3", "w4")
 
 
 @main.command()
@@ -335,11 +314,13 @@ def enumerate_cmd(
 @click.option(
     "--check",
     "what",
-    type=click.Choice(["spin", "w3", "w4", "elementary"]),
+    type=click.Choice(list(_VERIFY)),
     default="spin",
     show_default=True,
 )
-@click.option("--sample", type=int, default=None, help="Seeded valid-sample size (w3/w4).")
+@click.option(
+    "--sample", type=click.IntRange(min=1), default=None, help="Seeded valid-sample size (w3/w4)."
+)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 def verify(
     omega_text: str,
@@ -352,31 +333,11 @@ def verify(
     seed: int,
 ) -> None:
     """Cross-check closed-form criteria against the digraph form and oracle."""
-    omega = _parse_omega(omega_text)
-    if sample is not None and what not in ("w3", "w4"):
+    if sample is not None and what not in _SAMPLED:
         _fail(EXIT_INPUT, "--sample applies only to w3/w4 checks")
-    sink, close = _census_writer(census_path, omega, seed, budget)
-    try:
-        if what == "spin":
-            report = crosscheck_spin(omega, budget=budget, threads=threads, sink=sink)
-        elif what in ("w3", "w4"):
-            report = crosscheck_w(
-                omega,
-                3 if what == "w3" else 4,
-                sample=sample,
-                budget=budget,
-                seed=seed,
-                threads=threads,
-                sink=sink,
-            )
-        else:
-            report = verify_elementary(omega, budget=budget, threads=threads, sink=sink)
-    except BudgetError as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    finally:
-        close()
+    extra = {"sample": sample, "seed": seed} if what in _SAMPLED else {}
+    driver = functools.partial(_VERIFY[what], budget=budget, threads=threads, **extra)
+    report = _run_family(omega_text, census_path, seed, budget, driver)
     _report_exit(report, as_json, {"check": what})
 
 
@@ -389,7 +350,7 @@ def verify(
     default="shifted",
     show_default=True,
 )
-@click.option("--sample", type=int, default=None, help="Seeded valid-sample size.")
+@click.option("--sample", type=click.IntRange(min=1), default=None, help="Seeded valid-sample size.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 def conjecture(
     omega_text: str,
@@ -403,25 +364,16 @@ def conjecture(
     seed: int,
 ) -> None:
     """Compare the conjectured congruences with oracle class vanishing."""
-    omega = _parse_omega(omega_text)
-    sink, close = _census_writer(census_path, omega, seed, budget)
-    try:
-        report = verify_conjecture(
-            omega,
-            t,
-            reading,
-            sample=sample,
-            budget=budget,
-            seed=seed,
-            threads=threads,
-            sink=sink,
-        )
-    except BudgetError as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    finally:
-        close()
+    driver = functools.partial(
+        verify_conjecture,
+        t=t,
+        reading=reading,
+        sample=sample,
+        budget=budget,
+        seed=seed,
+        threads=threads,
+    )
+    report = _run_family(omega_text, census_path, seed, budget, driver)
     _report_exit(report, as_json, {"t": t, "reading": reading})
 
 

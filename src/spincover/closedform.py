@@ -262,6 +262,25 @@ def w4_coefficients(A: ReducedMatrix) -> CoeffTable:
     return CoeffTable(4, entries)
 
 
+def closed_coefficients(A: ReducedMatrix, m: int) -> CoeffTable:
+    """Pre-reduction w_m coefficients for m = 1..4.
+
+    w_1 is the sum of x_i over the columns with an even self-dot; it is
+    read off the counts directly, with no validation pass.
+    """
+    if m == 1:
+        return CoeffTable(
+            1, {(i,): (A.k_count([i]) + 1) % 2 for i in range(A.omega.k)}
+        )
+    if m == 2:
+        return w2_coefficients(A)
+    if m == 3:
+        return w3_coefficients(A)
+    if m == 4:
+        return w4_coefficients(A)
+    raise ValueError("closed forms cover degrees 1..4")
+
+
 # Pairwise requirement on k_ij mod 4, keyed by sorted (k_i, k_j) mod 8.
 # A residue 7 on either side forces 0 regardless of the partner.
 _W4_PAIR_TABLE = {

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .gf2 import BitMatrix, BitVector, dot_count
-from .model import DimensionVector, ReducedMatrix, require_valid
+from .model import (
+    DimensionVector,
+    ReducedMatrix,
+    identity_rows,
+    require_valid,
+    topological_order,
+)
 from .closedform import SpinReport
 
 
@@ -24,26 +30,6 @@ class CyclicDigraphError(ValueError):
 
 class DigraphFormatError(ValueError):
     """Malformed digraph JSON."""
-
-
-def _check_acyclic(k: int, arcs: Iterable[tuple[int, int]]) -> None:
-    succ = [[] for _ in range(k)]
-    indeg = [0] * k
-    for i, j in arcs:
-        succ[i].append(j)
-        indeg[j] += 1
-    queue = [v for v in range(k) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != k:
-        stuck = sorted(v + 1 for v in range(k) if indeg[v] > 0)
-        raise CyclicDigraphError(f"directed cycle through vertices {stuck}")
 
 
 class WeightedDigraph:
@@ -70,7 +56,10 @@ class WeightedDigraph:
                 )
             if not w.is_zero():
                 clean[(i, j)] = w
-        _check_acyclic(k, clean.keys())
+        order = topological_order(k, clean)
+        if len(order) != k:
+            stuck = sorted(set(range(1, k + 1)) - {v + 1 for v in order})
+            raise CyclicDigraphError(f"directed cycle through vertices {stuck}")
         self.omega = omega
         self.edges = clean
 
@@ -123,18 +112,13 @@ def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
 def to_matrix(G: WeightedDigraph) -> ReducedMatrix:
     """Reduced matrix A = adjacency(G) + I_omega."""
     omega = G.omega
-    k = omega.k
-    rows = [0] * omega.n
-    for i in range(k):
-        off = omega.offset(i)
-        for t in range(omega[i]):
-            rows[off + t] |= 1 << i
+    rows = identity_rows(omega)
     for (i, j), w in G.edges.items():
         off = omega.offset(i)
         for t in range(w.length):
             if w[t]:
                 rows[off + t] |= 1 << j
-    return ReducedMatrix(omega, BitMatrix(rows, omega.n, k))
+    return ReducedMatrix(omega, BitMatrix(rows, omega.n, omega.k))
 
 
 def weighted_in_degree(G: WeightedDigraph, i: int) -> int:

@@ -13,6 +13,7 @@ reports are 1-based.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -182,18 +183,21 @@ def require_valid(A: ReducedMatrix) -> None:
     report = validate(A)
     if not report.valid:
         sel = tuple(x + 1 for x in report.failing_selection)
-        sub = sorted(x + 1 for x in report.failing_subset)
+        sub = tuple(sorted(x + 1 for x in report.failing_subset))
         raise InvalidMatrixError(
-            f"principal minor vanishes at selection {sel}, subset {sub}"
+            f"not a characteristic matrix; principal minor vanishes "
+            f"at row selection {sel}, column subset {sub}"
         )
+
+
+def identity_rows(omega: DimensionVector) -> list[int]:
+    """Row ints of I_omega: every row of block i is the unit vector e_i."""
+    return [1 << i for i, d in enumerate(omega.dims) for _ in range(d)]
 
 
 def identity_matrix(omega: DimensionVector) -> ReducedMatrix:
     """I_omega: all diagonal blocks all-ones, all off-diagonal blocks zero."""
-    rows = []
-    for i, d in enumerate(omega.dims):
-        rows.extend([1 << i] * d)
-    return ReducedMatrix(omega, BitMatrix(rows, omega.n, omega.k))
+    return ReducedMatrix(omega, BitMatrix(identity_rows(omega), omega.n, omega.k))
 
 
 def conjugate_by_permutation(A: ReducedMatrix, sigma: Sequence[int]) -> ReducedMatrix:
@@ -221,48 +225,49 @@ def conjugate_by_permutation(A: ReducedMatrix, sigma: Sequence[int]) -> ReducedM
     return ReducedMatrix(new_omega, BitMatrix(rows, new_omega.n, k))
 
 
-def _block_topological_order(A: ReducedMatrix) -> Optional[list[int]]:
-    """Topological order of blocks under edges i -> j iff v_ij != 0 (i != j).
+def topological_order(k: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
+    """Kahn order of the vertices 0..k-1, smallest available vertex first.
 
-    Smallest available vertex first, so the order is deterministic.  Returns
-    None when the relation is cyclic.
+    Vertices on a directed cycle, or reachable from one, are never emitted,
+    so the order is shorter than k exactly when the relation is cyclic.
     """
-    k = A.omega.k
-    succ = [[] for _ in range(k)]
+    succ: list[list[int]] = [[] for _ in range(k)]
     indeg = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and not A.block(i, j).is_zero():
-                succ[i].append(j)
-                indeg[j] += 1
-    ready = sorted(v for v in range(k) if indeg[v] == 0)
+    for i, j in arcs:
+        succ[i].append(j)
+        indeg[j] += 1
+    ready = [v for v in range(k) if indeg[v] == 0]
     order = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
-        changed = False
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-                changed = True
-        if changed:
-            ready.sort()
-    return order if len(order) == k else None
+                heapq.heappush(ready, w)
+    return order
 
 
 def normalize_upper_triangular(A: ReducedMatrix) -> tuple[ReducedMatrix, tuple[int, ...]]:
     """Conjugate a valid matrix so all blocks below the diagonal vanish.
 
     Returns (A', sigma) with A' == conjugate_by_permutation(A, sigma).  The
-    nonzero-block relation of a valid matrix is acyclic, so a topological
-    order always exists; a cycle here means the validator is broken.
+    blocks are ordered topologically under i -> j iff v_ij != 0; the
+    nonzero-block relation of a valid matrix is acyclic, so that order
+    always exists and a cycle here means the validator is broken.
     """
     require_valid(A)
-    order = _block_topological_order(A)
-    if order is None:
+    k = A.omega.k
+    arcs = [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j and not A.block(i, j).is_zero()
+    ]
+    order = topological_order(k, arcs)
+    if len(order) != k:
         raise RuntimeError("valid matrix with cyclic block relation; validator bug")
-    sigma = [0] * A.omega.k
+    sigma = [0] * k
     for pos, old in enumerate(order):
         sigma[old] = pos
     return conjugate_by_permutation(A, sigma), tuple(sigma)

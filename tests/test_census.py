@@ -1,9 +1,11 @@
+import hashlib
 import io
 import itertools
 import json
 
 import pytest
 from hypothesis import given
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from spincover import (
@@ -30,6 +32,8 @@ from spincover.census import (
     compact_matrix,
     write_census_header,
 )
+from spincover import census
+from spincover.cli import main
 from conftest import dv
 
 # Counts frozen from the first verified full enumerations; nothing upstream
@@ -147,6 +151,25 @@ def test_spin_crosscheck_summary_and_sink():
     assert all(rec.flags == () for rec in records)
 
 
+def test_records_built_only_for_a_sink_or_a_flag(monkeypatch):
+    built = []
+    real = census.build_record
+
+    def counting(A, flags):
+        built.append(tuple(flags))
+        return real(A, flags)
+
+    monkeypatch.setattr(census, "build_record", counting)
+    crosscheck_spin(dv(1, 2, 2))
+    assert built == []
+    report = verify_elementary(dv(1, 1, 2))
+    assert built == [("elementary-decomposition-mismatch",)] * 8
+    assert [rec.flags for rec in report.discrepancies] == built
+    records = []
+    crosscheck_spin(dv(1, 1), sink=records.append)
+    assert len(built) == 8 + 3 and len(records) == 3
+
+
 def test_w_crosscheck_full():
     report = crosscheck_w(dv(3, 3), 3)
     assert (report.total_valid, report.counts["vanish"]) == (15, 7)
@@ -249,3 +272,35 @@ def test_conjecture_written_reading_diverges_on_2_3():
     )
     # while the shifted exponent agrees everywhere on the same family
     assert verify_conjecture(dv(2, 3), 1, "shifted").discrepancies == []
+
+
+# Exit code and sha256 of the census record lines (header excluded), recorded
+# from the per-family loops that preceded the shared census driver.
+CENSUS_DIGESTS = {
+    "verify --omega 1,2,2 --check spin": (
+        0, "38b45182495ca58d7816a01f2d6ed902a697770b38fd626dd987a8e48920e161"),
+    "verify --omega 3,3 --check w3": (
+        0, "443afbb3ae48ed27a545032f6425d5bdaf66ffbe55988f50f9c125014655b1af"),
+    "verify --omega 4,4 --check w4": (
+        0, "608f574abd4390c84aed35284398f97d50a6ef31e5ec0f1d1ba6a28165d74337"),
+    "verify --omega 1,1,2 --check elementary": (
+        4, "af3969f4449ad404be74af06d8aded61cb79a3cb2206290ee21a285ec4f7da37"),
+    "verify --omega 3,3,3 --check w3 --sample 30 --seed 5": (
+        0, "5bab0b342ecabe9b9ce78389055ed29778bfe0abde7615203133db1edd28fe5b"),
+    "conjecture --omega 2,3 --t 1 --reading as-written": (
+        4, "dcbc1efb3e0185a1edbf8d8368db08e6c6dd9deca4de41adc934c0c9e9812152"),
+    "conjecture --omega 4,4 --t 2": (
+        0, "608f574abd4390c84aed35284398f97d50a6ef31e5ec0f1d1ba6a28165d74337"),
+    "enumerate --omega 1,2,2": (
+        0, "38b45182495ca58d7816a01f2d6ed902a697770b38fd626dd987a8e48920e161"),
+}
+
+
+@pytest.mark.parametrize("command", list(CENSUS_DIGESTS))
+def test_census_record_digests(command, tmp_path):
+    code, digest = CENSUS_DIGESTS[command]
+    out = tmp_path / "census.jsonl"
+    result = CliRunner().invoke(main, [*command.split(), "--census", str(out)])
+    assert result.exit_code == code
+    records = out.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    assert hashlib.sha256("".join(records).encode()).hexdigest() == digest

@@ -159,6 +159,7 @@ def test_convert_rejects_cycle(runner, tmp_path):
     src.write_text(json.dumps(doc))
     result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 2
+    assert "directed cycle through vertices [1, 2]" in result.stderr
 
 
 def test_enumerate_counts(runner):
@@ -244,6 +245,36 @@ def test_verify_sample_only_for_w_checks(runner):
 def test_verify_degree_precondition(runner):
     result = runner.invoke(main, ["verify", "--omega", "2,3", "--check", "w3"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--omega", "3,3", "--check", "w3", "--sample", "0"],
+        ["verify", "--omega", "3,3", "--check", "w3", "--sample", "-5"],
+        ["conjecture", "--omega", "4,4", "--t", "2", "--sample", "0"],
+    ],
+)
+def test_sample_below_one_is_an_input_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "--sample" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["verify", "--omega", "1,2,2", "--budget", "100"], 3),
+        (["verify", "--omega", "2,3", "--check", "w3"], 2),
+        (["enumerate", "--omega", "1,2,2", "--budget", "100"], 3),
+        (["conjecture", "--omega", "2,3", "--t", "3"], 2),
+    ],
+)
+def test_failed_run_leaves_no_census(runner, tmp_path, args, code):
+    out = tmp_path / "census.jsonl"
+    result = runner.invoke(main, [*args, "--census", str(out)])
+    assert result.exit_code == code
+    assert not out.exists()
 
 
 def test_conjecture_shifted_clean(runner):

@@ -4,6 +4,7 @@ import pytest
 
 from spincover import (
     CoeffTable,
+    InvalidMatrixError,
     ReducedMatrix,
     SpinReport,
     conjecture_predicate,
@@ -27,6 +28,7 @@ from spincover import (
     w4_coefficients,
     w4_vanishes_big,
 )
+from spincover.closedform import closed_coefficients
 from conftest import dv, rp
 
 
@@ -228,3 +230,23 @@ def test_conjecture_predicate_readings(spin_235):
     witness = from_compact((2, 3), "10/10/01/01/11")
     assert conjecture_predicate(witness, 1, "as-written")
     assert not conjecture_predicate(witness, 1, "shifted")
+
+
+def test_closed_coefficients_cover_degrees_one_to_four(spin_235, klein):
+    # the face ideal has no degree-1 part, so closed w1 is the oracle's w1
+    for A in enumerate_valid(dv(1, 1, 2)):
+        assert closed_coefficients(A, 1).polynomial(3) == sw_oracle(A, 1)
+    assert closed_coefficients(klein, 1).entries == {(0,): 0, (1,): 1}
+    assert closed_coefficients(spin_235, 2) == w2_coefficients(spin_235)
+    assert closed_coefficients(spin_235, 3) == w3_coefficients(spin_235)
+    assert closed_coefficients(spin_235, 4) == w4_coefficients(spin_235)
+    for m in (0, 5):
+        with pytest.raises(ValueError):
+            closed_coefficients(spin_235, m)
+
+
+def test_closed_w1_needs_no_validation_pass():
+    singular = ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])
+    assert closed_coefficients(singular, 1).entries == {(0,): 1, (1,): 1}
+    with pytest.raises(InvalidMatrixError):
+        closed_coefficients(singular, 2)

@@ -23,6 +23,7 @@ from spincover import (
     space_size,
     validate,
 )
+from spincover.model import topological_order
 from conftest import dv
 
 
@@ -151,6 +152,12 @@ def test_normalize_swaps_lower_edge():
     B, sigma = normalize_upper_triangular(A)
     assert serialize_matrix(B) == "1 1\n11\n01\n"
     assert sigma == (1, 0)
+
+
+def test_topological_order_is_smallest_first_and_drops_cycles():
+    assert topological_order(4, [(2, 0), (3, 1)]) == [2, 0, 3, 1]
+    # 0 <-> 1 is a cycle and 2 hangs below it; only 3 is ever emitted
+    assert topological_order(4, [(0, 1), (1, 0), (1, 2)]) == [3]
 
 
 def test_normalize_result_is_upper_triangular_everywhere():
