@@ -11,7 +11,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NoReturn, Optional
+from typing import Callable, NoReturn, Optional, TextIO
 
 import click
 
@@ -61,8 +61,11 @@ EXIT_BUDGET = 3
 EXIT_DISCREPANCY = 4
 
 
+# click.echo gets an explicit file throughout: without one, click caches a
+# wrapper per distinct sys.stdout/sys.stderr that keeps a redirected stream
+# alive after an in-process call.
 def _fail(code: int, message: str) -> NoReturn:
-    click.echo(message, err=True)
+    click.echo(message, file=sys.stderr)
     sys.exit(code)
 
 
@@ -71,6 +74,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(EXIT_INPUT, f"cannot read {path}: {exc}")
+
+
+def _open_for_writing(path: str) -> TextIO:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"cannot write {path}: {exc}")
 
 
 def _load_matrix(path: str) -> ReducedMatrix:
@@ -93,10 +103,10 @@ def _parse_omega(text: str) -> DimensionVector:
 
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        click.echo(json.dumps(obj, indent=2, sort_keys=True))
+        click.echo(json.dumps(obj, indent=2, sort_keys=True), file=sys.stdout)
     else:
         for line in lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 @click.group()
@@ -210,9 +220,10 @@ def convert(input_file: str, target: str, output: Optional[str]) -> None:
             _fail(EXIT_INPUT, f"{input_file}: {exc}")
         out = serialize_matrix(to_matrix(G))
     if output is None:
-        click.echo(out, nl=False)
+        click.echo(out, nl=False, file=sys.stdout)
     else:
-        Path(output).write_text(out, encoding="utf-8")
+        with _open_for_writing(output) as fh:
+            fh.write(out)
     sys.exit(EXIT_OK)
 
 
@@ -229,7 +240,7 @@ def _run_family(
     census file is removed, so a failed run leaves none behind.
     """
     omega = _parse_omega(omega_text)
-    fh = None if census_path is None else open(census_path, "w", encoding="utf-8")
+    fh = None if census_path is None else _open_for_writing(census_path)
     try:
         sink: Sink = None
         if fh is not None:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .gf2 import BitMatrix, BitVector, dot_count
 from .model import (
     DimensionVector,
     ReducedMatrix,
+    block_arcs,
     identity_rows,
     require_valid,
     topological_order,
@@ -30,6 +31,20 @@ class CyclicDigraphError(ValueError):
 
 class DigraphFormatError(ValueError):
     """Malformed digraph JSON."""
+
+
+def _reaches_itself(v: int, arcs: Collection[tuple[int, int]]) -> bool:
+    """Whether a directed path of length at least one leads from v back to v."""
+    seen: set[int] = set()
+    todo = [j for i, j in arcs if i == v]
+    while todo:
+        u = todo.pop()
+        if u == v:
+            return True
+        if u not in seen:
+            seen.add(u)
+            todo.extend(j for i, j in arcs if i == u)
+    return False
 
 
 class WeightedDigraph:
@@ -56,10 +71,9 @@ class WeightedDigraph:
                 )
             if not w.is_zero():
                 clean[(i, j)] = w
-        order = topological_order(k, clean)
-        if len(order) != k:
-            stuck = sorted(set(range(1, k + 1)) - {v + 1 for v in order})
-            raise CyclicDigraphError(f"directed cycle through vertices {stuck}")
+        if len(topological_order(k, clean)) != k:
+            on_cycle = [v + 1 for v in range(k) if _reaches_itself(v, clean)]
+            raise CyclicDigraphError(f"directed cycle through vertices {on_cycle}")
         self.omega = omega
         self.edges = clean
 
@@ -97,16 +111,7 @@ class WeightedDigraph:
 def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
     """Digraph with adjacency matrix A - I_omega."""
     require_valid(A)
-    k = A.omega.k
-    edges = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            w = A.block(i, j)
-            if not w.is_zero():
-                edges[(i, j)] = w
-    return WeightedDigraph(A.omega, edges)
+    return WeightedDigraph(A.omega, {(i, j): A.block(i, j) for i, j in block_arcs(A)})
 
 
 def to_matrix(G: WeightedDigraph) -> ReducedMatrix:

@@ -224,7 +224,7 @@ def relation_generators(A: ReducedMatrix) -> RingPresentation:
     return _presentation(A)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1)
 def _presentation(A: ReducedMatrix) -> RingPresentation:
     k = A.omega.k
     gens = []
@@ -304,7 +304,6 @@ def sw_oracle(A: ReducedMatrix, m: int) -> GradedPolynomial:
         raise ValueError("degree must be positive")
     if m > A.omega.n:
         raise ValueError(f"w_{m} exceeds the manifold dimension {A.omega.n}")
-    require_valid(A)
     total = total_sw_truncated(A, m)
     return normal_form(total.degree_part(m), _presentation(A))
 

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -160,6 +164,74 @@ def test_convert_rejects_cycle(runner, tmp_path):
     result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 2
     assert "directed cycle through vertices [1, 2]" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "arcs, on_cycle",
+    [
+        # 3 hangs below the cycle 1 <-> 2
+        ([(1, 2), (2, 1), (2, 3)], [1, 2]),
+        # 3 sits between the cycles 1 <-> 2 and 4 <-> 5
+        ([(1, 2), (2, 1), (2, 3), (3, 4), (4, 5), (5, 4)], [1, 2, 4, 5]),
+    ],
+)
+def test_convert_names_only_vertices_on_a_cycle(runner, tmp_path, arcs, on_cycle):
+    k = max(max(arc) for arc in arcs)
+    doc = {
+        "omega": [1] * k,
+        "edges": [{"from": i, "to": j, "w": "1"} for i, j in arcs],
+    }
+    src = tmp_path / "cycle.json"
+    src.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    assert result.exit_code == 2
+    assert f"directed cycle through vertices {on_cycle}\n" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--omega", "1,1", "--census"],
+        ["convert", path("spin_235.txt"), "--to", "digraph", "-o"],
+    ],
+)
+def test_unwritable_output_is_an_input_error(runner, tmp_path, args):
+    target = tmp_path / "missing" / "out"
+    result = runner.invoke(main, [*args, str(target)])
+    assert result.exit_code == 2
+    assert f"cannot write {target}: " in result.stderr
+    assert not target.exists()
+
+
+def _run_redirected(argv):
+    """Run the CLI in this process with stdout and stderr redirected to fresh
+    buffers; return the exit code, the output, and weak references to both."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue() + err.getvalue(), weakref.ref(out), weakref.ref(err)
+
+
+def test_in_process_runs_keep_no_redirected_stream(tmp_path):
+    singular = tmp_path / "singular.txt"
+    singular.write_text("1 1\n11\n11\n")
+    runs = [
+        (["check", path("spin_235.txt")], 0),
+        (["sw", "--degree", "2", "--both", path("rp2.txt")], 0),
+        (["convert", path("tower_2333.txt"), "--to", "digraph"], 0),
+        (["check", str(singular)], 2),
+    ]
+    refs = []
+    for argv, want in runs:
+        code, text, out_ref, err_ref = _run_redirected(argv)
+        assert (code, bool(text)) == (want, True), argv
+        refs += [out_ref, err_ref]
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_enumerate_counts(runner):

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spincover.gf2
 from spincover import (
+    BitMatrix,
     DimensionVector,
     InvalidMatrixError,
     MatrixFormatError,
@@ -23,7 +25,7 @@ from spincover import (
     space_size,
     validate,
 )
-from spincover.model import topological_order
+from spincover.model import block_arcs, topological_order
 from conftest import dv
 
 
@@ -90,6 +92,99 @@ def test_validate_identity_and_dependent_pair():
 
 def test_validate_fixture(spin_235):
     assert validate(spin_235).valid
+
+
+def test_block_arcs_read_blocks_and_diagonals():
+    # off-diagonal arcs both ways, a loop where v_22 = (0, 1) is not all ones
+    A = ReducedMatrix.from_rows((1, 2), [[1, 1], [1, 0], [1, 1]])
+    assert block_arcs(A) == [(0, 1), (1, 0), (1, 1)]
+    assert block_arcs(identity_matrix(dv(2, 1, 3))) == []
+
+
+def _selection_matrix(A, selection):
+    """k x k matrix picking row selection[i] of block-row i."""
+    k = A.omega.k
+    rows = [A.mat.rows[A.omega.offset(i) + li] for i, li in enumerate(selection)]
+    return BitMatrix(rows, k, k)
+
+
+def _definitional_report(A):
+    """The definition of validity, kept apart from `validate`: scan the row
+    selections, then the principal subsets, in lexicographic order and report
+    the first vanishing minor."""
+    k = A.omega.k
+    for selection in itertools.product(*(range(d) for d in A.omega.dims)):
+        M = _selection_matrix(A, selection)
+        for size in range(1, k + 1):
+            for subset in itertools.combinations(range(k), size):
+                minor = BitMatrix.from_entries(
+                    [[M.entry(r, c) for c in subset] for r in subset]
+                )
+                if minor.determinant() != 1:
+                    return ValidityReport(False, selection, frozenset(subset))
+    return ValidityReport(True)
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 3), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 1, 1)]
+)
+def test_is_valid_matches_principal_minors_on_every_candidate(dims):
+    omega = DimensionVector(dims)
+    selections = list(itertools.product(*(range(d) for d in dims)))
+    for counter in range(space_size(omega)):
+        A = matrix_from_counter(omega, counter)
+        expected = all(
+            _selection_matrix(A, sel).principal_minors_all_one() for sel in selections
+        )
+        assert is_valid(A) == expected, (dims, counter)
+
+
+@st.composite
+def any_matrices(draw):
+    """Matrices with every entry free, diagonal blocks included.  Half of them
+    are first pushed towards an acyclic block relation under a drawn order,
+    so valid matrices and matrices with one late cycle show up too."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    k, n = len(dims), sum(dims)
+    rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(k)))
+        block = [i for i, d in enumerate(dims) for _ in range(d)]
+        for r, i in enumerate(block):
+            rows[r] |= 1 << i
+            for j in range(k):
+                if rank[j] < rank[block[r]]:
+                    rows[r] &= ~(1 << j)
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))] |= draw(st.integers(0, (1 << k) - 1))
+    return ReducedMatrix(DimensionVector(tuple(dims)), BitMatrix(rows, n, k))
+
+
+@settings(deadline=None)
+@given(any_matrices())
+def test_validate_matches_the_definition_with_its_witness(A):
+    assert validate(A) == _definitional_report(A)
+
+
+def test_validate_of_a_valid_matrix_computes_no_determinant(monkeypatch):
+    calls = []
+    det_rows = spincover.gf2._det_rows
+
+    def counted(rows, cols_mask):
+        calls.append(cols_mask)
+        return det_rows(rows, cols_mask)
+
+    monkeypatch.setattr(spincover.gf2, "_det_rows", counted)
+    k = 6
+    # block-row i carries ones in columns i..k-1: unitriangular, so valid
+    rows = [[int(j >= i) for j in range(k)] for i in range(k) for _ in range(2)]
+    A = ReducedMatrix.from_rows((2,) * k, rows)
+    assert validate(A).valid
+    assert calls == []
+    # the witness scan of an invalid matrix still goes through the counter
+    B = ReducedMatrix.from_rows((2,) * k, [[1] * k] * (2 * k))
+    assert not validate(B).valid
+    assert calls
 
 
 def test_validity_report_consistency():
