@@ -3,14 +3,13 @@ over products of simplices, decided from the reduced characteristic matrix
 by closed-form criteria, by the equivalent weighted-digraph criteria, and by
 direct computation in the mod 2 cohomology ring."""
 
-from .gf2 import BitMatrix, BitVector, binom_parity, dot_count
+from .gf2 import BitVector, binom_parity, dot_count
 from .model import (
     DimensionVector,
     InvalidMatrixError,
     MatrixFormatError,
     ReducedMatrix,
     ValidityReport,
-    columns_dot,
     conjugate_by_permutation,
     elementary_component,
     identity_matrix,

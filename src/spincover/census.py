@@ -26,7 +26,6 @@ from .closedform import (
     w4_vanishes_big,
 )
 from .digraph import from_matrix, has_spin_digraph
-from .gf2 import BitMatrix
 from .model import (
     DimensionVector,
     ReducedMatrix,
@@ -82,7 +81,7 @@ def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
     for pos, (r, c) in enumerate(layout):
         if (counter >> (nbits - 1 - pos)) & 1:
             rows[r] |= 1 << c
-    return ReducedMatrix(omega, BitMatrix(rows, omega.n, omega.k))
+    return ReducedMatrix(omega, rows)
 
 
 def counter_from_matrix(A: ReducedMatrix) -> int:
@@ -90,7 +89,7 @@ def counter_from_matrix(A: ReducedMatrix) -> int:
     nbits = len(layout)
     counter = 0
     for pos, (r, c) in enumerate(layout):
-        if A.mat.entry(r, c):
+        if (A.rows[r] >> c) & 1:
             counter |= 1 << (nbits - 1 - pos)
     return counter
 

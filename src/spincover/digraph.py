@@ -13,7 +13,7 @@ import itertools
 import json
 from typing import Collection, Mapping
 
-from .gf2 import BitMatrix, BitVector, dot_count
+from .gf2 import BitVector, dot_count
 from .model import (
     DimensionVector,
     ReducedMatrix,
@@ -123,7 +123,7 @@ def to_matrix(G: WeightedDigraph) -> ReducedMatrix:
         for t in range(w.length):
             if w[t]:
                 rows[off + t] |= 1 << j
-    return ReducedMatrix(omega, BitMatrix(rows, omega.n, omega.k))
+    return ReducedMatrix(omega, rows)
 
 
 def weighted_in_degree(G: WeightedDigraph, i: int) -> int:
@@ -218,6 +218,11 @@ def w3_vanishes_digraph(G: WeightedDigraph) -> bool:
     return True
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; JSON true and false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_digraph(text: str) -> WeightedDigraph:
     """Read the JSON form: {"omega": [...], "edges": [{from, to, w}, ...]}.
 
@@ -239,13 +244,16 @@ def parse_digraph(text: str) -> WeightedDigraph:
     if (
         not isinstance(dims, list)
         or not dims
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(_is_int(d) and d >= 1 for d in dims)
     ):
         raise DigraphFormatError("'omega' must be a nonempty list of positive integers")
     omega = DimensionVector(tuple(dims))
     k = omega.k
     edges: dict[tuple[int, int], BitVector] = {}
-    for pos, edge in enumerate(obj.get("edges", [])):
+    listed = obj.get("edges", [])
+    if not isinstance(listed, list):
+        raise DigraphFormatError("'edges' must be a list")
+    for pos, edge in enumerate(listed):
         where = f"edges[{pos}]"
         if not isinstance(edge, dict):
             raise DigraphFormatError(f"{where} must be an object")
@@ -256,9 +264,9 @@ def parse_digraph(text: str) -> WeightedDigraph:
         if missing:
             raise DigraphFormatError(f"{where} is missing {sorted(missing)}")
         src, dst, wstr = edge["from"], edge["to"], edge["w"]
-        if not (isinstance(src, int) and 1 <= src <= k):
+        if not (_is_int(src) and 1 <= src <= k):
             raise DigraphFormatError(f"{where}: 'from' must be in 1..{k}")
-        if not (isinstance(dst, int) and 1 <= dst <= k):
+        if not (_is_int(dst) and 1 <= dst <= k):
             raise DigraphFormatError(f"{where}: 'to' must be in 1..{k}")
         if src == dst:
             raise DigraphFormatError(f"{where}: loop at vertex {src}")

@@ -113,100 +113,19 @@ def _det_rows(rows: list[int], cols_mask: int) -> int:
     return 1
 
 
-class BitMatrix:
-    """Immutable matrix over GF(2); row r is the int rows[r] with bit c = entry."""
+def principal_minors_all_one(rows: Sequence[int]) -> bool:
+    """True iff det of the S x S submatrix is 1 for every nonempty S.
 
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Sequence[int], nrows: int, ncols: int):
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
-        for r in rows:
-            if r < 0 or r >> ncols:
-                raise ValueError("row bits outside the stated width")
-        self.rows = tuple(rows)
-        self.nrows = nrows
-        self.ncols = ncols
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
-        nrows = len(entries)
-        ncols = len(entries[0]) if nrows else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            rows.append(BitVector.from_entries(row).bits)
-        return cls(rows, nrows, ncols)
-
-    def entry(self, r: int, c: int) -> int:
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError((r, c))
-        return (self.rows[r] >> c) & 1
-
-    def row(self, r: int) -> BitVector:
-        return BitVector(self.rows[r], self.ncols)
-
-    def column(self, c: int) -> BitVector:
-        if not 0 <= c < self.ncols:
-            raise IndexError(c)
-        bits = 0
-        for r in range(self.nrows):
-            bits |= ((self.rows[r] >> c) & 1) << r
-        return BitVector(bits, self.nrows)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(
-            [self.column(c).bits for c in range(self.ncols)], self.ncols, self.nrows
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.nrows, self.ncols))
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            "".join(str(self.entry(r, c)) for c in range(self.ncols))
-            for r in range(self.nrows)
-        )
-        return f"BitMatrix([{body}])"
-
-    def determinant(self) -> int:
-        """Determinant over GF(2).  Requires a square matrix."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return _det_rows(list(self.rows), (1 << self.ncols) - 1)
-
-    def principal_minors_all_one(self) -> bool:
-        """True iff det of the S x S submatrix is 1 for every nonempty S.
-
-        Iterates all 2^k - 1 subsets directly; k is tiny here.
-        """
-        if self.nrows != self.ncols:
+    rows are the row ints of a square matrix.  Iterates all 2^k - 1 subsets
+    directly: this is the definition of validity that tests compare the
+    acyclicity rule against, not a fast path.
+    """
+    k = len(rows)
+    for r in rows:
+        if r < 0 or r >> k:
             raise ValueError("principal minors of a non-square matrix")
-        k = self.nrows
-        for mask in range(1, 1 << k):
-            rows = [self.rows[i] for i in range(k) if (mask >> i) & 1]
-            if _det_rows(rows, mask) != 1:
-                return False
-        return True
-
-    def column_intersection_count(self, cols: Iterable[int]) -> int:
-        """k_S: the number of rows carrying 1 in every column of S."""
-        S = list(cols)
-        if not S:
-            raise ValueError("empty column set")
-        for c in S:
-            if not 0 <= c < self.ncols:
-                raise ValueError(f"column index {c} out of range")
-        acc = (1 << self.nrows) - 1
-        for c in S:
-            acc &= self.column(c).bits
-        return acc.bit_count()
+    for mask in range(1, 1 << k):
+        sub = [rows[i] for i in range(k) if (mask >> i) & 1]
+        if _det_rows(sub, mask) != 1:
+            return False
+    return True

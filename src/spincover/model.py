@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import BitMatrix, BitVector, dot_count
+from .gf2 import BitVector
 
 
 class MatrixFormatError(ValueError):
@@ -87,36 +87,49 @@ class ValidityReport:
 
 
 class ReducedMatrix:
-    """The pair (omega, A) with cached column bitmasks for counting products."""
+    """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
+    (r, c), and the column ints are cached for counting products."""
 
-    __slots__ = ("omega", "mat", "_cols")
+    __slots__ = ("omega", "rows", "_cols")
 
-    def __init__(self, omega: DimensionVector, mat: BitMatrix):
-        if mat.nrows != omega.n or mat.ncols != omega.k:
+    def __init__(self, omega: DimensionVector, rows: Sequence[int]):
+        if len(rows) != omega.n:
             raise ValueError(
-                f"matrix shape {mat.nrows}x{mat.ncols} does not match "
-                f"omega (n={omega.n}, k={omega.k})"
+                f"matrix has {len(rows)} rows, omega needs n={omega.n}"
             )
+        for r in rows:
+            if r < 0 or r >> omega.k:
+                raise ValueError(f"row bits outside the width k={omega.k}")
         self.omega = omega
-        self.mat = mat
-        self._cols = tuple(mat.column(j).bits for j in range(omega.k))
+        self.rows = tuple(rows)
+        self._cols = tuple(
+            sum(((r >> j) & 1) << t for t, r in enumerate(self.rows))
+            for j in range(omega.k)
+        )
 
     @classmethod
     def from_rows(cls, dims: Sequence[int], rows: Sequence[Sequence[int]]) -> "ReducedMatrix":
-        return cls(DimensionVector(tuple(dims)), BitMatrix.from_entries(rows))
+        omega = DimensionVector(tuple(dims))
+        ncols = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != ncols:
+                raise ValueError("ragged rows")
+        if rows and ncols != omega.k:
+            raise ValueError(f"matrix has {ncols} columns, omega needs k={omega.k}")
+        return cls(omega, [BitVector.from_entries(row).bits for row in rows])
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ReducedMatrix)
             and self.omega == other.omega
-            and self.mat == other.mat
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.omega, self.mat))
+        return hash((self.omega, self.rows))
 
     def __repr__(self) -> str:
-        return f"ReducedMatrix(omega={self.omega.dims}, mat={self.mat!r})"
+        return f"ReducedMatrix({serialize_matrix(self)!r})"
 
     def block(self, i: int, j: int) -> BitVector:
         """v_ij: the part of column j lying in block-row i."""
@@ -142,27 +155,66 @@ class ReducedMatrix:
         return acc.bit_count()
 
 
-def columns_dot(A: ReducedMatrix, i: int, j: int) -> int:
-    """Dot count A_i . A_j of two columns (k_i when i == j, k_ij otherwise)."""
-    return dot_count(A.column(i), A.column(j))
+def _successors(A: ReducedMatrix) -> list[list[int]]:
+    """Per block i, each of its rows as the successor set it gives vertex i.
+
+    That is the row with bit i flipped: bit j != i is an arc i -> j, and a
+    clear diagonal entry is a loop i -> i.
+    """
+    out = []
+    off = 0
+    for i, d in enumerate(A.omega.dims):
+        out.append([r ^ (1 << i) for r in A.rows[off:off + d]])
+        off += d
+    return out
 
 
-def _selection_rows(A: ReducedMatrix, selection: Sequence[int]) -> list[int]:
-    """Row ints of the k x k matrix picking row selection[i] from block-row i."""
-    return [A.mat.rows[A.omega.offset(i) + li] for i, li in enumerate(selection)]
+def _union(masks: Iterable[int]) -> int:
+    acc = 0
+    for m in masks:
+        acc |= m
+    return acc
+
+
+def _arcs(succ: Sequence[int]) -> list[tuple[int, int]]:
+    """The relation i -> j for every bit j of succ[i], in ascending order."""
+    arcs = []
+    for i, m in enumerate(succ):
+        while m:
+            low = m & -m
+            arcs.append((i, low.bit_length() - 1))
+            m ^= low
+    return arcs
+
+
+def _is_cyclic(succ: Sequence[int]) -> bool:
+    return len(topological_order(len(succ), _arcs(succ))) < len(succ)
+
+
+def _cycle_lengths(succ: Sequence[int]) -> list[int]:
+    """Per vertex, the length of a shortest cycle through it (a loop has
+    length 1), or 0 when it is on no cycle; by breadth-first search."""
+    lengths = []
+    for v in range(len(succ)):
+        frontier, seen, length = succ[v], 0, 1
+        while frontier and not (frontier >> v) & 1:
+            seen |= frontier
+            frontier = _union(succ[u] for u in range(len(succ)) if (frontier >> u) & 1)
+            frontier &= ~seen
+            length += 1
+        lengths.append(length if frontier else 0)
+    return lengths
+
+
+def _induced(succ: Sequence[int], subset: Iterable[int]) -> list[int]:
+    """The relation restricted to the vertices of subset."""
+    inside = _union(1 << c for c in subset)
+    return [m & inside if (inside >> c) & 1 else 0 for c, m in enumerate(succ)]
 
 
 def block_arcs(A: ReducedMatrix) -> list[tuple[int, int]]:
     """i -> j when v_ij != 0 (i != j), and a loop i -> i when v_ii is not all ones."""
-    arcs = []
-    off = 0
-    for i, d in enumerate(A.omega.dims):
-        full = ((1 << d) - 1) << off
-        for j, col in enumerate(A._cols):
-            if col & full != full if i == j else col & full:
-                arcs.append((i, j))
-        off += d
-    return arcs
+    return _arcs([_union(rows) for rows in _successors(A)])
 
 
 def is_valid(A: ReducedMatrix) -> bool:
@@ -176,25 +228,39 @@ def validate(A: ReducedMatrix) -> ValidityReport:
     """Check the non-singularity condition.
 
     Every selection of one row per block must have all principal minors equal
-    to 1 over GF(2).  Selections and subsets are scanned in lexicographic
-    order so failure witnesses are reproducible.
+    to 1 over GF(2).  The witness of an invalid matrix is the first vanishing
+    minor with selections, then subset sizes, then subsets in lexicographic
+    order, so it is reproducible.  It is found without a determinant: a
+    selection has a vanishing minor exactly when its relation (the rows read
+    as `_successors`) is cyclic.  Every subset smaller than the girth g of
+    that relation is acyclic, so its minor is 1.  A cyclic subset of size g
+    induces a chordless g-cycle, whose minor det(I + P) is 0.
     """
-    from .gf2 import _det_rows
-
-    if is_valid(A):  # the scan below only names the witness
+    if is_valid(A):
         return ValidityReport(True)
-    k = A.omega.k
-    for selection in itertools.product(*(range(d) for d in A.omega.dims)):
-        rows = _selection_rows(A, selection)
-        for size in range(1, k + 1):
-            for subset in itertools.combinations(range(k), size):
-                mask = 0
-                for c in subset:
-                    mask |= 1 << c
-                sub = [rows[c] for c in subset]
-                if _det_rows(sub, mask) != 1:
-                    return ValidityReport(False, tuple(selection), frozenset(subset))
-    return ValidityReport(True)
+    blocks = _successors(A)
+    # The first cyclic selection, block by block: the smallest row that still
+    # closes a cycle when the later blocks may use any of their rows.
+    selection: list[int] = []
+    chosen: list[int] = []
+    for i, rows in enumerate(blocks):
+        later = [_union(b) for b in blocks[i + 1:]]
+        for li, succ in enumerate(rows):
+            if _is_cyclic(chosen + [succ] + later):
+                selection.append(li)
+                chosen.append(succ)
+                break
+    lengths = _cycle_lengths(chosen)
+    girth = min(n for n in lengths if n)
+    # a cyclic subset of the girth's size is a shortest cycle, so it holds
+    # only vertices on one; leaving out the others keeps the subset order
+    on_shortest = [v for v, n in enumerate(lengths) if n == girth]
+    subset = next(
+        s
+        for s in itertools.combinations(on_shortest, girth)
+        if _is_cyclic(_induced(chosen, s))
+    )
+    return ValidityReport(False, tuple(selection), frozenset(subset))
 
 
 def require_valid(A: ReducedMatrix) -> None:
@@ -215,7 +281,7 @@ def identity_rows(omega: DimensionVector) -> list[int]:
 
 def identity_matrix(omega: DimensionVector) -> ReducedMatrix:
     """I_omega: all diagonal blocks all-ones, all off-diagonal blocks zero."""
-    return ReducedMatrix(omega, BitMatrix(identity_rows(omega), omega.n, omega.k))
+    return ReducedMatrix(omega, identity_rows(omega))
 
 
 def conjugate_by_permutation(A: ReducedMatrix, sigma: Sequence[int]) -> ReducedMatrix:
@@ -235,12 +301,12 @@ def conjugate_by_permutation(A: ReducedMatrix, sigma: Sequence[int]) -> ReducedM
         src = inv[p]
         off = A.omega.offset(src)
         for t in range(A.omega[src]):
-            old_row = A.mat.rows[off + t]
+            old_row = A.rows[off + t]
             new_row = 0
             for q in range(k):
                 new_row |= ((old_row >> inv[q]) & 1) << q
             rows.append(new_row)
-    return ReducedMatrix(new_omega, BitMatrix(rows, new_omega.n, k))
+    return ReducedMatrix(new_omega, rows)
 
 
 def topological_order(k: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
@@ -292,13 +358,12 @@ def elementary_component(A: ReducedMatrix, i: int, j: int) -> ReducedMatrix:
     if not (0 <= i < j < k):
         raise ValueError(f"need 0 <= i < j < k, got ({i}, {j})")
     require_valid(A)
-    ident = identity_matrix(A.omega)
     keep = (1 << i) | (1 << j)
     rows = [
         (a & keep) | (e & ~keep)
-        for a, e in zip(A.mat.rows, ident.mat.rows)
+        for a, e in zip(A.rows, identity_rows(A.omega))
     ]
-    return ReducedMatrix(A.omega, BitMatrix(rows, A.omega.n, k))
+    return ReducedMatrix(A.omega, rows)
 
 
 def parse_matrix(text: str) -> ReducedMatrix:
@@ -347,5 +412,5 @@ def parse_matrix(text: str) -> ReducedMatrix:
 def serialize_matrix(A: ReducedMatrix) -> str:
     lines = [" ".join(str(d) for d in A.omega.dims)]
     for r in range(A.omega.n):
-        lines.append("".join(str(A.mat.entry(r, c)) for c in range(A.omega.k)))
+        lines.append("".join(str((A.rows[r] >> c) & 1) for c in range(A.omega.k)))
     return "\n".join(lines) + "\n"

@@ -214,6 +214,18 @@ class DegreeBasis:
         return mask
 
 
+def _linear_form(k: int, row: int) -> GradedPolynomial:
+    """sum of x_j over the set bits j of a matrix row."""
+    return GradedPolynomial.from_terms(
+        k,
+        (
+            tuple(1 if t == j else 0 for t in range(k))
+            for j in range(k)
+            if (row >> j) & 1
+        ),
+    )
+
+
 def relation_generators(A: ReducedMatrix) -> RingPresentation:
     """Substitute the linear relations into the Stanley-Reisner generators.
 
@@ -231,16 +243,8 @@ def _presentation(A: ReducedMatrix) -> RingPresentation:
     for i in range(k):
         g = GradedPolynomial.variable(k, i)
         off = A.omega.offset(i)
-        for r in range(off, off + A.omega[i]):
-            row = GradedPolynomial.from_terms(
-                k,
-                (
-                    tuple(1 if t == j else 0 for t in range(k))
-                    for j in range(k)
-                    if A.mat.entry(r, j)
-                ),
-            )
-            g = g * row
+        for row in A.rows[off:off + A.omega[i]]:
+            g = g * _linear_form(k, row)
         gens.append(g)
     return RingPresentation(A.omega, tuple(gens))
 
@@ -285,16 +289,8 @@ def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:
     for i in range(k):
         factor = GradedPolynomial.one(k) + GradedPolynomial.variable(k, i)
         total = total.mul(factor, maxdeg)
-    for r in range(A.omega.n):
-        lin = GradedPolynomial.from_terms(
-            k,
-            (
-                tuple(1 if t == j else 0 for t in range(k))
-                for j in range(k)
-                if A.mat.entry(r, j)
-            ),
-        )
-        total = total.mul(GradedPolynomial.one(k) + lin, maxdeg)
+    for row in A.rows:
+        total = total.mul(GradedPolynomial.one(k) + _linear_form(k, row), maxdeg)
     return total
 
 

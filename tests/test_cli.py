@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import time
 import weakref
 
 import pytest
@@ -73,6 +74,53 @@ def test_check_rejects_invalid_matrix(runner, tmp_path):
     assert result.exit_code == 2
     assert "row selection (1, 1)" in result.stderr
     assert "column subset (1, 2)" in result.stderr
+
+
+def _late_cycle_rows():
+    # (2,) x 10, identity but for the second rows of blocks 1 and 2
+    rows = [[int(j == i) for j in range(10)] for i in range(10) for _ in range(2)]
+    rows[1][1] = rows[3][0] = 1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "dims, rows, selection, subset",
+    [
+        # the only cycle 1 <-> 2 needs the second row of both blocks, so the
+        # first vanishing minor comes after 2^9 + 2^8 clean row selections
+        ((2,) * 10, _late_cycle_rows(), (2, 2) + (1,) * 8, (1, 2)),
+        # one cycle through all 22 vertices: every proper principal minor is 1
+        (
+            (1,) * 22,
+            [[int(j in (i, (i + 1) % 22)) for j in range(22)] for i in range(22)],
+            (1,) * 22,
+            tuple(range(1, 23)),
+        ),
+        # one 11-cycle through the last 11 of 22 vertices, the last of the
+        # C(22, 11) subsets of its size
+        (
+            (1,) * 22,
+            [[int(j == i or i > 10 and j == 11 + (i - 10) % 11) for j in range(22)]
+             for i in range(22)],
+            (1,) * 22,
+            tuple(range(12, 23)),
+        ),
+    ],
+    ids=["late-2x10", "cycle-22", "last-11-cycle-of-22"],
+)
+def test_check_names_a_late_witness_quickly(runner, tmp_path, dims, rows, selection, subset):
+    src = tmp_path / "late.txt"
+    src.write_text(
+        " ".join(map(str, dims)) + "\n" + "".join("".join(map(str, r)) + "\n" for r in rows)
+    )
+    start = time.perf_counter()
+    result = runner.invoke(main, ["check", str(src)])
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"{src}: not a characteristic matrix; principal minor vanishes "
+        f"at row selection {selection}, column subset {subset}\n"
+    )
 
 
 def test_sw_both_projective_plane(runner):
@@ -186,6 +234,40 @@ def test_convert_names_only_vertices_on_a_cycle(runner, tmp_path, arcs, on_cycle
     result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 2
     assert f"directed cycle through vertices {on_cycle}\n" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "edges", [None, 5, {"from": 1, "to": 2, "w": "1"}], ids=["null", "number", "object"]
+)
+def test_convert_rejects_edges_that_are_not_a_list(runner, tmp_path, edges):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps({"omega": [1, 1], "edges": edges}))
+    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    assert result.exit_code == 2
+    assert "'edges' must be a list\n" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        ({"omega": [True, 2]}, "'omega' must be a nonempty list of positive integers"),
+        (
+            {"omega": [1, 2], "edges": [{"from": True, "to": 2, "w": "1"}]},
+            "edges[0]: 'from' must be in 1..2",
+        ),
+        (
+            {"omega": [1, 2], "edges": [{"from": 2, "to": True, "w": "11"}]},
+            "edges[0]: 'to' must be in 1..2",
+        ),
+    ],
+    ids=["omega", "from", "to"],
+)
+def test_convert_rejects_booleans_as_integers(runner, tmp_path, doc, fragment):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    assert result.exit_code == 2
+    assert fragment in result.stderr
 
 
 @pytest.mark.parametrize(

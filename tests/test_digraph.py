@@ -8,7 +8,6 @@ from spincover import (
     CyclicDigraphError,
     DigraphFormatError,
     WeightedDigraph,
-    columns_dot,
     common_source_sum,
     conjugate_by_permutation,
     enumerate_valid,
@@ -73,7 +72,7 @@ def test_in_degree_identity_with_column_dots():
     for A in enumerate_valid(dv(1, 2, 2)):
         g = from_matrix(A)
         for i in range(3):
-            assert weighted_in_degree(g, i) == columns_dot(A, i, i) - A.omega[i]
+            assert weighted_in_degree(g, i) == A.k_count((i, i)) - A.omega[i]
 
 
 def test_common_source_sum(tower_2333):
@@ -91,7 +90,7 @@ def test_common_source_identity_with_column_dots():
         g = from_matrix(A)
         for i, j in itertools.combinations(range(3), 2):
             off = g.weight(i, j).popcount() + g.weight(j, i).popcount()
-            assert common_source_sum(g, i, j) == columns_dot(A, i, j) - off
+            assert common_source_sum(g, i, j) == A.k_count((i, j)) - off
 
 
 def test_spin_digraph_fixture(tower_2333):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spincover import BitMatrix, BitVector, binom_parity, dot_count
+from spincover import BitVector, ReducedMatrix, binom_parity, dot_count
+from spincover.gf2 import _det_rows, principal_minors_all_one
 
 
 @given(st.integers(0, 300), st.integers(0, 300))
@@ -48,13 +49,18 @@ def test_dot_count_is_overlap(a, b):
     assert dot_count(u, v) == dot_count(v, u)
 
 
-def test_bitmatrix_accessors():
-    m = BitMatrix.from_entries([[1, 0, 1], [0, 1, 1]])
-    assert m.nrows == 2 and m.ncols == 3
-    assert m.entry(0, 2) == 1 and m.entry(1, 0) == 0
-    assert list(m.row(0)) == [1, 0, 1]
-    assert list(m.column(2)) == [1, 1]
-    assert m.transpose() == BitMatrix.from_entries([[1, 0], [0, 1], [1, 1]])
+def test_matrix_rows_and_columns():
+    # a reduced matrix is n x k with n >= k: this one is 3 x 2
+    m = ReducedMatrix.from_rows((1, 2), [[1, 0], [0, 1], [1, 1]])
+    assert m.omega.n == 3 and m.omega.k == 2
+    assert m.rows == (0b01, 0b10, 0b11)
+    assert (m.rows[2] >> 0) & 1 == 1 and (m.rows[0] >> 1) & 1 == 0
+    assert list(m.column(0)) == [1, 0, 1]
+    assert list(m.column(1)) == [0, 1, 1]
+
+
+def _row_ints(entries):
+    return [sum(e << c for c, e in enumerate(row)) for row in entries]
 
 
 def _det_bruteforce(entries):
@@ -76,17 +82,15 @@ def test_determinant_matches_leibniz(n, data):
     entries = [
         [data.draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)
     ]
-    m = BitMatrix.from_entries(entries)
-    assert m.determinant() == _det_bruteforce(entries)
+    assert _det_rows(_row_ints(entries), (1 << n) - 1) == _det_bruteforce(entries)
 
 
 def test_principal_minors_all_one():
-    ident = BitMatrix.from_entries([[1, 0], [0, 1]])
-    assert ident.principal_minors_all_one()
+    assert principal_minors_all_one(_row_ints([[1, 0], [0, 1]]))
     # det of the whole 2x2 all-ones matrix is 0
-    assert not BitMatrix.from_entries([[1, 1], [1, 1]]).principal_minors_all_one()
+    assert not principal_minors_all_one(_row_ints([[1, 1], [1, 1]]))
     # upper triangular with ones on the diagonal always passes
-    assert BitMatrix.from_entries([[1, 1, 1], [0, 1, 1], [0, 0, 1]]).principal_minors_all_one()
+    assert principal_minors_all_one(_row_ints([[1, 1, 1], [0, 1, 1], [0, 0, 1]]))
 
 
 @given(st.integers(1, 5), st.data())
@@ -96,18 +100,17 @@ def test_principal_minors_definition(n, data):
     entries = [
         [data.draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)
     ]
-    m = BitMatrix.from_entries(entries)
     expected = True
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             sub = [[entries[r][c] for c in subset] for r in subset]
             if _det_bruteforce(sub) != 1:
                 expected = False
-    assert m.principal_minors_all_one() == expected
+    assert principal_minors_all_one(_row_ints(entries)) == expected
 
 
 def test_column_intersection_count():
-    m = BitMatrix.from_entries([[1, 1], [1, 0], [0, 1], [1, 1]])
-    assert m.column_intersection_count([0]) == 3
-    assert m.column_intersection_count([1]) == 3
-    assert m.column_intersection_count([0, 1]) == 2
+    m = ReducedMatrix.from_rows((2, 2), [[1, 1], [1, 0], [0, 1], [1, 1]])
+    assert m.k_count([0]) == 3
+    assert m.k_count([1]) == 3
+    assert m.k_count([0, 1]) == 2
