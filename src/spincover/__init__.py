@@ -3,7 +3,6 @@ over products of simplices, decided from the reduced characteristic matrix
 by closed-form criteria, by the equivalent weighted-digraph criteria, and by
 direct computation in the mod 2 cohomology ring."""
 
-from .gf2 import BitVector, binom_parity, dot_count
 from .model import (
     DimensionVector,
     InvalidMatrixError,
@@ -14,14 +13,12 @@ from .model import (
     elementary_component,
     identity_matrix,
     is_valid,
-    normalize_upper_triangular,
     parse_matrix,
     serialize_matrix,
     validate,
 )
 from .oracle import (
     GradedPolynomial,
-    RingPresentation,
     ideal_degree_basis,
     normal_form,
     oracle_class_is_zero,
@@ -35,10 +32,8 @@ from .closedform import (
     CoeffTable,
     SpinReport,
     conjecture_predicate,
-    first_seven_vanish,
     has_spin,
     interval_simplex_matrix,
-    is_orientable,
     spin_sufficient,
     w2_coefficients,
     w3_coefficients,
@@ -69,7 +64,6 @@ from .census import (
     crosscheck_w,
     enumerate_valid,
     matrix_from_counter,
-    counter_from_matrix,
     sample_valid,
     space_size,
     verify_conjecture,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -25,7 +26,7 @@ from .closedform import (
     w3_vanishes_big,
     w4_vanishes_big,
 )
-from .digraph import from_matrix, has_spin_digraph
+from .digraph import from_matrix, has_spin_digraph, w3_vanishes_digraph
 from .model import (
     DimensionVector,
     ReducedMatrix,
@@ -49,10 +50,11 @@ SCHEMA_VERSION = 1
 
 
 class BudgetError(RuntimeError):
-    """Search space larger than the caller allowed."""
+    """A refused run: a search space larger than the caller allowed, or a
+    sample that the draw cap could not fill (space and budget then 0)."""
 
-    def __init__(self, space: int, budget: int):
-        super().__init__(f"search space {space} exceeds budget {budget}")
+    def __init__(self, message: str, space: int = 0, budget: int = 0):
+        super().__init__(message)
         self.space = space
         self.budget = budget
 
@@ -84,16 +86,6 @@ def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
     return ReducedMatrix(omega, rows)
 
 
-def counter_from_matrix(A: ReducedMatrix) -> int:
-    layout = bit_layout(A.omega)
-    nbits = len(layout)
-    counter = 0
-    for pos, (r, c) in enumerate(layout):
-        if (A.rows[r] >> c) & 1:
-            counter |= 1 << (nbits - 1 - pos)
-    return counter
-
-
 def _validate_range(args: tuple[tuple[int, ...], int, int]) -> list[int]:
     dims, start, stop = args
     omega = DimensionVector(dims)
@@ -105,10 +97,16 @@ def enumerate_valid(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> Iterator[ReducedMatrix]:
-    """All valid matrices over omega, ascending in the counter order."""
+    """All valid matrices over omega, ascending in the counter order.
+
+    At most one worker process per CPU is started, whatever `threads` asks.
+    """
     space = space_size(omega)
     if space > budget:
-        raise BudgetError(space, budget)
+        raise BudgetError(
+            f"search space {space} exceeds budget {budget}", space, budget
+        )
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or space < 1024:
         for c in range(space):
             A = matrix_from_counter(omega, c)
@@ -134,13 +132,14 @@ def sample_valid(
 ) -> Iterator[ReducedMatrix]:
     """Seeded uniform draws from the candidate space, keeping `count` valid ones.
 
-    Draws are capped at 10000 per requested matrix so a family with almost
-    no valid members fails loudly instead of spinning.
+    Draws are capped at 10000 per requested matrix, so a family with almost
+    no valid members is refused with a `BudgetError` instead of spinning.
     """
     nbits = omega.n * (omega.k - 1)
     rng = random.Random(seed)
     found = 0
-    for _ in range(max(count, 1) * 10000):
+    draws = max(count, 1) * 10000
+    for _ in range(draws):
         if found >= count:
             return
         c = rng.getrandbits(nbits) if nbits else 0
@@ -149,8 +148,8 @@ def sample_valid(
             found += 1
             yield A
     if found < count:
-        raise RuntimeError(
-            f"only {found} of {count} requested valid samples found"
+        raise BudgetError(
+            f"only {found} of {count} requested valid samples found in {draws} draws"
         )
 
 
@@ -317,7 +316,8 @@ def crosscheck_w(
 
     With all factor dimensions >= m the face ideal starts above degree m,
     so the coefficient tables must equal the expansion exactly and the
-    vanishing predicate must match the oracle.  Full enumeration unless a
+    vanishing predicate must match the oracle; for m = 3 it must also match
+    its digraph form on `from_matrix(A)`.  Full enumeration unless a
     sample size is given, in which case seeded draws supply that many
     valid matrices.
     """
@@ -334,6 +334,8 @@ def crosscheck_w(
             flags.append(f"w{m}-expansion-mismatch")
         if vanish != oracle_class_is_zero(A, m):
             flags.append(f"w{m}-vanish-mismatch")
+        if m == 3 and vanish != w3_vanishes_digraph(from_matrix(A)):
+            flags.append("w3-closed-digraph-mismatch")
         report.counts["vanish"] += vanish
         return flags
 

@@ -47,12 +47,7 @@ from .model import (
     serialize_matrix,
     validate,  # unused here, but bound so the benchmark tracer can wrap it
 )
-from .oracle import (
-    normal_form,
-    polynomial_str,
-    relation_generators,
-    sw_oracle,
-)
+from .oracle import normal_form, polynomial_str, sw_oracle
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -194,7 +189,7 @@ def sw(
     if use_both:
         pre = all(d >= degree for d in A.omega.dims)
         level = "pre-reduction" if pre else "post-reduction"
-        compare = closed_poly if pre else normal_form(closed_poly, relation_generators(A))
+        compare = closed_poly if pre else normal_form(closed_poly, A)
         agree = compare == oracle_poly
         lines.append(f"agreement ({level}): {'yes' if agree else 'no'}")
         obj["level"] = level
@@ -236,7 +231,8 @@ def _run_family(
 ) -> DiscrepancyReport:
     """Parse omega and return driver(omega, sink=...), streaming an optional census.
 
-    A budget refusal exits 3 and an input error exits 2; either way the
+    A budget refusal (a search space over budget, or a sample the draw cap
+    could not fill) exits 3 and an input error exits 2; either way the
     census file is removed, so a failed run leaves none behind.
     """
     omega = _parse_omega(omega_text)
@@ -282,7 +278,7 @@ def _report_exit(report: DiscrepancyReport, as_json: bool, extra: dict) -> None:
 _COMMON = [
     click.option("--omega", "omega_text", required=True, help="Comma-separated factor dimensions."),
     click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True),
-    click.option("--threads", type=int, default=1, show_default=True),
+    click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True),
     click.option("--census", "census_path", type=click.Path(dir_okay=False), default=None),
     click.option("--json", "as_json", is_flag=True, help="Emit one JSON object."),
 ]

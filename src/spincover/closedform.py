@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gf2 import binom_parity
 from .model import DimensionVector, ReducedMatrix, require_valid
 from .oracle import GradedPolynomial
 
@@ -60,6 +59,18 @@ class SpinReport:
             raise ValueError("condition tag and witness go together")
 
 
+def binom_parity(n: int, r: int) -> int:
+    """Return C(n, r) mod 2 by the subset rule.
+
+    C(n, r) is odd exactly when every binary digit of r is dominated by the
+    corresponding digit of n.  r > n always yields 0, since r then has a set
+    bit outside n.
+    """
+    if n < 0 or r < 0:
+        raise ValueError("binom_parity needs nonnegative arguments")
+    return 1 if (r & ~n) == 0 else 0
+
+
 def _counts(A: ReducedMatrix):
     k = A.omega.k
     single = [A.k_count([i]) for i in range(k)]
@@ -71,12 +82,6 @@ def _counts(A: ReducedMatrix):
 
 def _pair(pair: dict, i: int, j: int) -> int:
     return pair[(i, j) if i < j else (j, i)]
-
-
-def is_orientable(A: ReducedMatrix) -> bool:
-    """All column self-dots odd."""
-    require_valid(A)
-    return all(A.k_count([i]) % 2 == 1 for i in range(A.omega.k))
 
 
 def w2_coefficients(A: ReducedMatrix) -> CoeffTable:
@@ -120,15 +125,15 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
             return report("ii", (i, j))
     for i, j in itertools.combinations(range(k), 2):
         if dims[i] == 1 and dims[j] == 1:
-            vij = A.block(i, j)[0]
-            vji = A.block(j, i)[0]
+            vij = A.block(i, j)
+            vji = A.block(j, i)
             half = (vij * (single[i] + 1) + vji * (single[j] + 1)) // 2
             if pair[(i, j)] % 2 != half % 2:
                 return report("iii", (i, j))
     for i, j in itertools.combinations(range(k), 2):
         if (dims[i] == 1) != (dims[j] == 1):
             a, b = (i, j) if dims[i] == 1 else (j, i)
-            vab = A.block(a, b)[0]
+            vab = A.block(a, b)
             half = vab * (single[a] + 1) // 2
             if _pair(pair, a, b) % 2 != half % 2:
                 return report("iv", (a, b))
@@ -351,26 +356,6 @@ def w4_vanishes_big(A: ReducedMatrix) -> bool:
             elif kt % 2 != want:
                 return False
     return True
-
-
-def first_seven_vanish(A: ReducedMatrix) -> bool:
-    """w1..w7 all vanish when factors have dimension >= 4.
-
-    Self-dots 7 mod 8, pair dots 0 mod 4, triple dots even; w5..w7 then
-    vanish for free by the Wu relations.
-    """
-    require_valid(A)
-    if any(d < 4 for d in A.omega.dims):
-        raise ValueError("every factor dimension must be at least 4")
-    k = A.omega.k
-    single, pair = _counts(A)
-    if any(d % 8 != 7 for d in single):
-        return False
-    if any(p % 4 != 0 for p in pair.values()):
-        return False
-    return all(
-        A.k_count(tri) % 2 == 0 for tri in itertools.combinations(range(k), 3)
-    )
 
 
 CONJECTURE_READINGS = ("as-written", "shifted")

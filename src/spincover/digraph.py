@@ -13,7 +13,6 @@ import itertools
 import json
 from typing import Collection, Mapping
 
-from .gf2 import BitVector, dot_count
 from .model import (
     DimensionVector,
     ReducedMatrix,
@@ -47,8 +46,14 @@ def _reaches_itself(v: int, arcs: Collection[tuple[int, int]]) -> bool:
     return False
 
 
+def _bit_string(w: int, width: int) -> str:
+    """The bits of w, bit 0 leftmost."""
+    return "".join(str((w >> t) & 1) for t in range(width))
+
+
 class WeightedDigraph:
-    """Acyclic digraph with edge (i, j) weighted by a vector in GF(2)^omega(i).
+    """Acyclic digraph with edge (i, j) weighted by a vector in GF(2)^omega(i),
+    held as an int whose bit t is entry t.
 
     Zero-weight edges are dropped at construction, so equality never
     depends on how absent edges were written down.
@@ -56,20 +61,20 @@ class WeightedDigraph:
 
     __slots__ = ("omega", "edges")
 
-    def __init__(self, omega: DimensionVector, edges: Mapping[tuple[int, int], BitVector]):
+    def __init__(self, omega: DimensionVector, edges: Mapping[tuple[int, int], int]):
         k = omega.k
-        clean: dict[tuple[int, int], BitVector] = {}
+        clean: dict[tuple[int, int], int] = {}
         for (i, j), w in edges.items():
             if not (0 <= i < k and 0 <= j < k):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if i == j:
                 raise ValueError(f"loop at vertex {i}")
-            if w.length != omega[i]:
+            if w < 0 or w >> omega[i]:
                 raise ValueError(
-                    f"edge ({i}, {j}) weight has length {w.length}, "
-                    f"expected omega({i}) = {omega[i]}"
+                    f"edge ({i}, {j}) weight {w} does not fit in "
+                    f"omega({i}) = {omega[i]} bits"
                 )
-            if not w.is_zero():
+            if w:
                 clean[(i, j)] = w
         if len(topological_order(k, clean)) != k:
             on_cycle = [v + 1 for v in range(k) if _reaches_itself(v, clean)]
@@ -89,20 +94,17 @@ class WeightedDigraph:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{i + 1}->{j + 1}:{''.join(str(b) for b in w)}"
+            f"{i + 1}->{j + 1}:{_bit_string(w, self.omega[i])}"
             for (i, j), w in sorted(self.edges.items())
         )
         return f"WeightedDigraph(omega={self.omega.dims}, [{body}])"
 
-    def weight(self, i: int, j: int) -> BitVector:
-        """Weight of (i, j); the zero vector when the edge is absent."""
-        return self.edges.get((i, j), BitVector.zero(self.omega[i]))
+    def weight(self, i: int, j: int) -> int:
+        """Weight of (i, j); 0 when the edge is absent."""
+        return self.edges.get((i, j), 0)
 
     def in_neighbors(self, j: int) -> list[int]:
         return sorted(i for (i, t) in self.edges if t == j)
-
-    def out_neighbors(self, i: int) -> list[int]:
-        return sorted(j for (s, j) in self.edges if s == i)
 
     def adjacent(self, i: int, j: int) -> bool:
         return (i, j) in self.edges or (j, i) in self.edges
@@ -120,8 +122,8 @@ def to_matrix(G: WeightedDigraph) -> ReducedMatrix:
     rows = identity_rows(omega)
     for (i, j), w in G.edges.items():
         off = omega.offset(i)
-        for t in range(w.length):
-            if w[t]:
+        for t in range(omega[i]):
+            if (w >> t) & 1:
                 rows[off + t] |= 1 << j
     return ReducedMatrix(omega, rows)
 
@@ -130,7 +132,7 @@ def weighted_in_degree(G: WeightedDigraph, i: int) -> int:
     """Sum over in-neighbors u of the popcount of w(u, v_i)."""
     if not 0 <= i < G.omega.k:
         raise IndexError(i)
-    return sum(w.popcount() for (u, t), w in G.edges.items() if t == i)
+    return sum(w.bit_count() for (u, t), w in G.edges.items() if t == i)
 
 
 def common_source_sum(G: WeightedDigraph, i: int, j: int) -> int:
@@ -140,7 +142,7 @@ def common_source_sum(G: WeightedDigraph, i: int, j: int) -> int:
     total = 0
     for u in G.in_neighbors(i):
         if (u, j) in G.edges:
-            total += dot_count(G.edges[(u, i)], G.edges[(u, j)])
+            total += (G.edges[(u, i)] & G.edges[(u, j)]).bit_count()
     return total
 
 
@@ -171,14 +173,14 @@ def has_spin_digraph(G: WeightedDigraph) -> SpinReport:
         if G.omega[i] != 1:
             continue
         w = G.edges[(i, j)]
-        half = w[0] * indeg[i] // 2
+        half = w * indeg[i] // 2
         if common_source_sum(G, i, j) % 2 != half % 2:
             return report("iii", (i, j))
     for (i, j) in sorted(G.edges):
         if G.omega[i] == 1:
             continue
         w = G.edges[(i, j)]
-        if common_source_sum(G, i, j) % 2 != w.popcount() % 2:
+        if common_source_sum(G, i, j) % 2 != w.bit_count() % 2:
             return report("iv", (i, j))
     return SpinReport(orientable, True)
 
@@ -198,8 +200,8 @@ def w3_vanishes_digraph(G: WeightedDigraph) -> bool:
     def pair_count(i: int, j: int) -> int:
         return (
             common_source_sum(G, i, j)
-            + G.weight(i, j).popcount()
-            + G.weight(j, i).popcount()
+            + G.weight(i, j).bit_count()
+            + G.weight(j, i).bit_count()
         )
 
     for v in range(k):
@@ -249,7 +251,7 @@ def parse_digraph(text: str) -> WeightedDigraph:
         raise DigraphFormatError("'omega' must be a nonempty list of positive integers")
     omega = DimensionVector(tuple(dims))
     k = omega.k
-    edges: dict[tuple[int, int], BitVector] = {}
+    edges: dict[tuple[int, int], int] = {}
     listed = obj.get("edges", [])
     if not isinstance(listed, list):
         raise DigraphFormatError("'edges' must be a list")
@@ -279,7 +281,7 @@ def parse_digraph(text: str) -> WeightedDigraph:
         key = (src - 1, dst - 1)
         if key in edges:
             raise DigraphFormatError(f"{where}: duplicate edge {src}->{dst}")
-        edges[key] = BitVector.from_entries(int(ch) for ch in wstr)
+        edges[key] = int(wstr[::-1], 2)
     return WeightedDigraph(omega, edges)
 
 
@@ -290,7 +292,7 @@ def serialize_digraph(G: WeightedDigraph) -> str:
             {
                 "from": i + 1,
                 "to": j + 1,
-                "w": "".join(str(b) for b in w),
+                "w": _bit_string(w, G.omega[i]),
             }
             for (i, j), w in sorted(G.edges.items())
         ],

@@ -14,11 +14,8 @@ reports are 1-based.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-from .gf2 import BitVector
 
 
 class MatrixFormatError(ValueError):
@@ -116,7 +113,9 @@ class ReducedMatrix:
                 raise ValueError("ragged rows")
         if rows and ncols != omega.k:
             raise ValueError(f"matrix has {ncols} columns, omega needs k={omega.k}")
-        return cls(omega, [BitVector.from_entries(row).bits for row in rows])
+        if any(e not in (0, 1) for row in rows for e in row):
+            raise ValueError("matrix entries must be 0 or 1")
+        return cls(omega, [sum(e << c for c, e in enumerate(row)) for row in rows])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -131,18 +130,15 @@ class ReducedMatrix:
     def __repr__(self) -> str:
         return f"ReducedMatrix({serialize_matrix(self)!r})"
 
-    def block(self, i: int, j: int) -> BitVector:
-        """v_ij: the part of column j lying in block-row i."""
+    def block(self, i: int, j: int) -> int:
+        """v_ij, the part of column j lying in block-row i, as an int whose
+        bit t is row t of block i."""
         k = self.omega.k
         if not (0 <= i < k and 0 <= j < k):
             raise IndexError((i, j))
         off = self.omega.offset(i)
         width = self.omega[i]
-        bits = (self._cols[j] >> off) & ((1 << width) - 1)
-        return BitVector(bits, width)
-
-    def column(self, j: int) -> BitVector:
-        return BitVector(self._cols[j], self.omega.n)
+        return (self._cols[j] >> off) & ((1 << width) - 1)
 
     def k_count(self, cols: Iterable[int]) -> int:
         """k_S: rows carrying 1 in every column of S, as a plain integer."""
@@ -191,18 +187,20 @@ def _is_cyclic(succ: Sequence[int]) -> bool:
     return len(topological_order(len(succ), _arcs(succ))) < len(succ)
 
 
-def _cycle_lengths(succ: Sequence[int]) -> list[int]:
-    """Per vertex, the length of a shortest cycle through it (a loop has
-    length 1), or 0 when it is on no cycle; by breadth-first search."""
-    lengths = []
-    for v in range(len(succ)):
-        frontier, seen, length = succ[v], 0, 1
-        while frontier and not (frontier >> v) & 1:
-            seen |= frontier
-            frontier = _union(succ[u] for u in range(len(succ)) if (frontier >> u) & 1)
-            frontier &= ~seen
-            length += 1
-        lengths.append(length if frontier else 0)
+def _path_lengths(succ: Sequence[int], v: int) -> list[int]:
+    """Per vertex u, the length of a shortest path of one or more arcs from v
+    to u (so entry v is a shortest cycle through v, and a loop has length 1),
+    or 0 when there is none; by breadth-first search."""
+    lengths = [0] * len(succ)
+    frontier, seen, length = succ[v], 0, 1
+    while frontier:
+        for u in range(len(succ)):
+            if (frontier >> u) & 1:
+                lengths[u] = length
+        seen |= frontier
+        frontier = _union(succ[u] for u in range(len(succ)) if (frontier >> u) & 1)
+        frontier &= ~seen
+        length += 1
     return lengths
 
 
@@ -250,16 +248,34 @@ def validate(A: ReducedMatrix) -> ValidityReport:
                 selection.append(li)
                 chosen.append(succ)
                 break
-    lengths = _cycle_lengths(chosen)
-    girth = min(n for n in lengths if n)
-    # a cyclic subset of the girth's size is a shortest cycle, so it holds
-    # only vertices on one; leaving out the others keeps the subset order
-    on_shortest = [v for v, n in enumerate(lengths) if n == girth]
-    subset = next(
-        s
-        for s in itertools.combinations(on_shortest, girth)
-        if _is_cyclic(_induced(chosen, s))
-    )
+    dist = [_path_lengths(chosen, v) for v in range(len(chosen))]
+    girth = min(d[v] for v, d in enumerate(dist) if d[v])
+    # Two vertices u, v of one shortest cycle have d(u, v) + d(v, u) = girth,
+    # so a cyclic subset of the girth's size, which is a shortest cycle, is
+    # built only from vertices that pairwise meet this.
+    close = [
+        _union(
+            1 << v
+            for v in range(len(chosen))
+            if d[v] and dist[v][u] and d[v] + dist[v][u] == girth
+        )
+        for u, d in enumerate(dist)
+    ]
+    on_shortest = _union(1 << v for v, d in enumerate(dist) if d[v] == girth)
+
+    def first_cycle(prefix: list[int], allowed: int) -> Optional[list[int]]:
+        """The first cyclic extension of prefix to the girth's size, by
+        vertices of allowed, in lexicographic order."""
+        if len(prefix) == girth:
+            return prefix if _is_cyclic(_induced(chosen, prefix)) else None
+        for v in range(prefix[-1] + 1 if prefix else 0, len(chosen)):
+            if (allowed >> v) & 1:
+                found = first_cycle(prefix + [v], allowed & close[v])
+                if found:
+                    return found
+        return None
+
+    subset = first_cycle([], on_shortest)
     return ValidityReport(False, tuple(selection), frozenset(subset))
 
 
@@ -330,22 +346,6 @@ def topological_order(k: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
     return order
-
-
-def normalize_upper_triangular(A: ReducedMatrix) -> tuple[ReducedMatrix, tuple[int, ...]]:
-    """Conjugate a valid matrix so all blocks below the diagonal vanish.
-
-    Returns (A', sigma) with A' == conjugate_by_permutation(A, sigma).  The
-    blocks are ordered topologically under i -> j iff v_ij != 0, which is
-    acyclic exactly because the matrix is valid.
-    """
-    require_valid(A)
-    k = A.omega.k
-    order = topological_order(k, block_arcs(A))
-    sigma = [0] * k
-    for pos, old in enumerate(order):
-        sigma[old] = pos
-    return conjugate_by_permutation(A, sigma), tuple(sigma)
 
 
 def elementary_component(A: ReducedMatrix, i: int, j: int) -> ReducedMatrix:

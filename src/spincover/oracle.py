@@ -15,10 +15,9 @@ variables ever occur, so per-degree linear algebra is exact and cheap.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .model import DimensionVector, ReducedMatrix, require_valid
+from .model import ReducedMatrix, require_valid
 
 ExpVec = tuple[int, ...]
 
@@ -152,14 +151,6 @@ def polynomial_str(p: GradedPolynomial) -> str:
     return " + ".join(terms)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    """The k substituted Stanley-Reisner generators, deg(g_i) = n_i + 1."""
-
-    omega: DimensionVector
-    generators: tuple[GradedPolynomial, ...]
-
-
 class DegreeBasis:
     """Row-reduced span of the ideal inside one graded piece.
 
@@ -226,18 +217,17 @@ def _linear_form(k: int, row: int) -> GradedPolynomial:
     )
 
 
-def relation_generators(A: ReducedMatrix) -> RingPresentation:
+@functools.lru_cache(maxsize=1)
+def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
     """Substitute the linear relations into the Stanley-Reisner generators.
 
-    g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l); the
-    diagonal convention makes each factor contain x_i.
+    g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l), of degree
+    n_i + 1; the diagonal convention makes each factor contain x_i.  Every
+    caller asks for one matrix's generators several times in a row and never
+    returns to an earlier one, so one cached entry suffices, and a matrix is
+    validated only when it is not the cached one.
     """
     require_valid(A)
-    return _presentation(A)
-
-
-@functools.lru_cache(maxsize=1)
-def _presentation(A: ReducedMatrix) -> RingPresentation:
     k = A.omega.k
     gens = []
     for i in range(k):
@@ -246,18 +236,18 @@ def _presentation(A: ReducedMatrix) -> RingPresentation:
         for row in A.rows[off:off + A.omega[i]]:
             g = g * _linear_form(k, row)
         gens.append(g)
-    return RingPresentation(A.omega, tuple(gens))
+    return tuple(gens)
 
 
-def ideal_degree_basis(R: RingPresentation, d: int) -> DegreeBasis:
+def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
     """Echelon basis of {m * g_i : deg m = d - n_i - 1} in degree d."""
     if d < 1:
         raise ValueError("degree must be positive")
-    k = R.omega.k
+    k = A.omega.k
     probe = DegreeBasis(k, d, ())
     vectors = []
-    for i, g in enumerate(R.generators):
-        gdeg = R.omega[i] + 1
+    for i, g in enumerate(relation_generators(A)):
+        gdeg = A.omega[i] + 1
         if gdeg > d:
             continue
         gterms = g.piece(gdeg)
@@ -267,14 +257,14 @@ def ideal_degree_basis(R: RingPresentation, d: int) -> DegreeBasis:
     return DegreeBasis(k, d, vectors)
 
 
-def normal_form(p: GradedPolynomial, R: RingPresentation) -> GradedPolynomial:
+def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
     """Canonical representative of p modulo the ideal, degree by degree."""
     out: dict[int, frozenset[ExpVec]] = {}
     for d, terms in p.pieces.items():
         if d == 0:
             out[d] = terms
             continue
-        basis = ideal_degree_basis(R, d)
+        basis = ideal_degree_basis(A, d)
         out[d] = basis.from_mask(basis.reduce(basis.to_mask(terms)))
     return GradedPolynomial(p.k, out)
 
@@ -301,7 +291,7 @@ def sw_oracle(A: ReducedMatrix, m: int) -> GradedPolynomial:
     if m > A.omega.n:
         raise ValueError(f"w_{m} exceeds the manifold dimension {A.omega.n}")
     total = total_sw_truncated(A, m)
-    return normal_form(total.degree_part(m), _presentation(A))
+    return normal_form(total.degree_part(m), A)
 
 
 def oracle_class_is_zero(A: ReducedMatrix, m: int) -> bool:

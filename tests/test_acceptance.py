@@ -12,9 +12,9 @@ from click.testing import CliRunner
 
 from spincover import (
     DimensionVector,
+    conjecture_predicate,
     crosscheck_spin,
     crosscheck_w,
-    first_seven_vanish,
     from_matrix,
     has_spin,
     has_spin_digraph,
@@ -29,7 +29,6 @@ from spincover import (
     weighted_in_degree,
 )
 from spincover.cli import main as main_cli
-from spincover.gf2 import BitVector
 
 from conftest import dv, rp
 
@@ -68,10 +67,11 @@ def test_02_interval_times_two_squares_has_no_spin_cover():
 def test_03_four_factor_digraph_weights_degree_and_verdict(tower_2333):
     g = from_matrix(tower_2333)
     assert sorted(g.edges) == [(0, 1), (0, 3), (3, 1), (3, 2)]
-    assert g.weight(0, 1) == BitVector.from_entries([1, 0])
-    assert g.weight(0, 3) == BitVector.from_entries([1, 1])
-    assert g.weight(3, 1) == BitVector.from_entries([1, 1, 1])
-    assert g.weight(3, 2) == BitVector.from_entries([1, 0, 1])
+    # bit t of a weight is row t of the source's block
+    assert g.weight(0, 1) == 0b01
+    assert g.weight(0, 3) == 0b11
+    assert g.weight(3, 1) == 0b111
+    assert g.weight(3, 2) == 0b101
     assert weighted_in_degree(g, 2) == 2
     report = has_spin_digraph(g)
     assert not report.spin
@@ -126,7 +126,7 @@ def test_07_projective_space_sanity():
     assert not w4_vanishes_big(rp(4))
     assert oracle_class_is_zero(rp(8), 4)
     assert w4_vanishes_big(rp(8))
-    hits = [n for n in range(4, 10) if first_seven_vanish(rp(n))]
+    hits = [n for n in range(4, 10) if conjecture_predicate(rp(n), 2, "shifted")]
     assert hits == [7]
 
 

@@ -12,7 +12,6 @@ from spincover import (
     BudgetError,
     DimensionVector,
     ReducedMatrix,
-    counter_from_matrix,
     crosscheck_spin,
     crosscheck_w,
     elementary_component,
@@ -35,6 +34,19 @@ from spincover.census import (
 from spincover import census
 from spincover.cli import main
 from conftest import dv
+
+
+
+def counter_from_matrix(A: ReducedMatrix) -> int:
+    """The inverse of matrix_from_counter."""
+    layout = bit_layout(A.omega)
+    nbits = len(layout)
+    counter = 0
+    for pos, (r, c) in enumerate(layout):
+        if (A.rows[r] >> c) & 1:
+            counter |= 1 << (nbits - 1 - pos)
+    return counter
+
 
 # Counts frozen from the first verified full enumerations; nothing upstream
 # fixes them, so they guard against silent changes to the walk or the filter.
@@ -104,6 +116,31 @@ def test_worker_count_does_not_change_output():
     pooled = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=3)]
     assert single == pooled
     assert len(single) == 157
+
+
+@pytest.mark.parametrize("cpus, processes", [(2, [2]), (None, [])])
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, processes):
+    started = []
+
+    class FakePool:
+        # runs the jobs in this process and records the pool size asked for
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(census, "Pool", FakePool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+    capped = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=100000)]
+    assert started == processes
+    assert capped == [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2))]
 
 
 def test_sampling_is_seeded_and_valid():

@@ -8,6 +8,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from spincover import census
 from spincover.cli import main
 
 from conftest import DATA
@@ -105,8 +106,16 @@ def _late_cycle_rows():
             (1,) * 22,
             tuple(range(12, 23)),
         ),
+        # two disjoint interleaved 11-cycles, 0 -> 2 -> ... -> 20 -> 0 and
+        # 1 -> 3 -> ... -> 21 -> 1: every vertex is on a shortest cycle
+        (
+            (1,) * 22,
+            [[int(j in (i, (i + 2) % 22)) for j in range(22)] for i in range(22)],
+            (1,) * 22,
+            tuple(range(1, 22, 2)),
+        ),
     ],
-    ids=["late-2x10", "cycle-22", "last-11-cycle-of-22"],
+    ids=["late-2x10", "cycle-22", "last-11-cycle-of-22", "interleaved-11-cycles"],
 )
 def test_check_names_a_late_witness_quickly(runner, tmp_path, dims, rows, selection, subset):
     src = tmp_path / "late.txt"
@@ -429,6 +438,44 @@ def test_failed_run_leaves_no_census(runner, tmp_path, args, code):
     result = runner.invoke(main, [*args, "--census", str(out)])
     assert result.exit_code == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate", "--omega", "1,2,2", "--threads", "0"],
+        ["verify", "--omega", "1,2,2", "--threads", "-4"],
+        ["conjecture", "--omega", "4,4", "--t", "2", "--threads", "0"],
+    ],
+)
+def test_threads_below_one_is_an_input_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "--threads" in result.stderr
+
+
+def test_unfillable_sample_is_a_refusal(runner, tmp_path):
+    # almost no candidate over five 3-simplices is valid: the draw cap runs out
+    out = tmp_path / "census.jsonl"
+    result = runner.invoke(
+        main,
+        ["verify", "--omega", "3,3,3,3,3", "--check", "w3", "--sample", "1",
+         "--census", str(out)],
+    )
+    assert result.exit_code == 3
+    assert result.stderr == "only 0 of 1 requested valid samples found in 10000 draws\n"
+    assert not out.exists()
+
+
+def test_w3_digraph_disagreement_is_flagged(runner, monkeypatch):
+    real = census.w3_vanishes_digraph
+    monkeypatch.setattr(census, "w3_vanishes_digraph", lambda G: not real(G))
+    result = runner.invoke(main, ["verify", "--omega", "3,3", "--check", "w3"])
+    assert result.exit_code == 4
+    lines = result.output.splitlines()
+    assert lines[0] == "valid: 15, vanish: 7, discrepancies: 15"
+    assert all(line.startswith("  w3-closed-digraph-mismatch: ") for line in lines[1:])
+    assert len(lines) == 16
 
 
 def test_conjecture_shifted_clean(runner):

@@ -10,11 +10,9 @@ from spincover import (
     conjecture_predicate,
     conjugate_by_permutation,
     enumerate_valid,
-    first_seven_vanish,
     has_spin,
     identity_matrix,
     interval_simplex_matrix,
-    is_orientable,
     oracle_class_is_zero,
     oracle_has_spin,
     parse_matrix,
@@ -52,15 +50,15 @@ def test_spin_report_guards():
 
 
 def test_orientability(torus, klein, spin_235):
-    assert is_orientable(torus)
-    assert not is_orientable(klein)
-    assert is_orientable(spin_235)
+    assert has_spin(torus).orientable
+    assert not has_spin(klein).orientable
+    assert has_spin(spin_235).orientable
 
 
 def test_orientability_equals_vanishing_first_class():
     for dims in [(1, 2), (2, 2), (1, 1, 1)]:
         for A in enumerate_valid(dv(*dims)):
-            assert is_orientable(A) == sw_oracle(A, 1).is_zero()
+            assert has_spin(A).orientable == sw_oracle(A, 1).is_zero()
 
 
 def test_w2_table_small_cases(torus, spin_235):
@@ -196,11 +194,17 @@ def test_w4_pair_table_overconstrains_small_column_counts():
     assert sw_oracle(ident, 4).is_zero()
 
 
+def first_seven_vanish(A):
+    # w_1..w_7 vanish for factors of dimension >= 4 exactly under the t = 2
+    # congruences: self-dots 7 mod 8, pair dots 0 mod 4, triple dots even
+    return conjecture_predicate(A, 2, "shifted")
+
+
 def test_first_seven_vanish():
     assert first_seven_vanish(rp(7))
     assert first_seven_vanish(identity_matrix(dv(7, 7)))
     assert [n for n in range(4, 10) if first_seven_vanish(rp(n))] == [7]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 4"):
         first_seven_vanish(identity_matrix(dv(2, 3)))
     assert not any(first_seven_vanish(A) for A in enumerate_valid(dv(4, 4)))
 

@@ -1,11 +1,15 @@
+"""GF(2) arithmetic on plain ints: binomial parity, and the determinant and
+principal-minor references of conftest that validity is checked against."""
+
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spincover import BitVector, ReducedMatrix, binom_parity, dot_count
-from spincover.gf2 import _det_rows, principal_minors_all_one
+from spincover import ReducedMatrix
+from spincover.closedform import binom_parity
+from conftest import det_rows, principal_minors_all_one
 
 
 @given(st.integers(0, 300), st.integers(0, 300))
@@ -24,39 +28,15 @@ def test_binom_parity_above_n_is_zero():
     assert binom_parity(3, 5) == 0
 
 
-def test_bitvector_roundtrip():
-    v = BitVector.from_entries([1, 0, 1, 1])
-    assert len(v) == 4
-    assert list(v) == [1, 0, 1, 1]
-    assert v[0] == 1 and v[1] == 0
-    assert v.popcount() == 3
-    assert not v.is_zero()
-    assert BitVector.zero(4).is_zero()
-
-
-def test_bitvector_equality_includes_length():
-    assert BitVector.from_entries([1]) != BitVector.from_entries([1, 0])
-    assert BitVector.from_entries([1, 0]) == BitVector.from_entries([1, 0])
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=12),
-       st.lists(st.integers(0, 1), min_size=1, max_size=12))
-def test_dot_count_is_overlap(a, b):
-    m = min(len(a), len(b))
-    u = BitVector.from_entries(a[:m])
-    v = BitVector.from_entries(b[:m])
-    assert dot_count(u, v) == sum(x & y for x, y in zip(a, b))
-    assert dot_count(u, v) == dot_count(v, u)
-
-
 def test_matrix_rows_and_columns():
     # a reduced matrix is n x k with n >= k: this one is 3 x 2
     m = ReducedMatrix.from_rows((1, 2), [[1, 0], [0, 1], [1, 1]])
     assert m.omega.n == 3 and m.omega.k == 2
     assert m.rows == (0b01, 0b10, 0b11)
     assert (m.rows[2] >> 0) & 1 == 1 and (m.rows[0] >> 1) & 1 == 0
-    assert list(m.column(0)) == [1, 0, 1]
-    assert list(m.column(1)) == [0, 1, 1]
+    # column 0 is (1, 0, 1) and column 1 is (0, 1, 1), read block by block
+    assert (m.block(0, 0), m.block(1, 0)) == (0b1, 0b10)
+    assert (m.block(0, 1), m.block(1, 1)) == (0b0, 0b11)
 
 
 def _row_ints(entries):
@@ -82,7 +62,7 @@ def test_determinant_matches_leibniz(n, data):
     entries = [
         [data.draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)
     ]
-    assert _det_rows(_row_ints(entries), (1 << n) - 1) == _det_bruteforce(entries)
+    assert det_rows(_row_ints(entries), (1 << n) - 1) == _det_bruteforce(entries)
 
 
 def test_principal_minors_all_one():
