@@ -85,9 +85,10 @@ class ValidityReport:
 
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
-    (r, c), and the column ints are cached for counting products."""
+    (r, c), and the column ints are cached for counting products.  `_valid`
+    memoises the verdict of `is_valid` (None until it is first asked)."""
 
-    __slots__ = ("omega", "rows", "_cols")
+    __slots__ = ("omega", "rows", "_cols", "_valid")
 
     def __init__(self, omega: DimensionVector, rows: Sequence[int]):
         if len(rows) != omega.n:
@@ -103,6 +104,7 @@ class ReducedMatrix:
             sum(((r >> j) & 1) << t for t, r in enumerate(self.rows))
             for j in range(omega.k)
         )
+        self._valid: Optional[bool] = None
 
     @classmethod
     def from_rows(cls, dims: Sequence[int], rows: Sequence[Sequence[int]]) -> "ReducedMatrix":
@@ -218,8 +220,11 @@ def block_arcs(A: ReducedMatrix) -> list[tuple[int, int]]:
 def is_valid(A: ReducedMatrix) -> bool:
     """The non-singularity condition: a shortest cycle of `block_arcs` spans a
     vanishing principal minor, and without a cycle every row selection is
-    unitriangular after relabeling."""
-    return len(topological_order(A.omega.k, block_arcs(A))) == A.omega.k
+    unitriangular after relabeling.  The verdict is kept on A, so every
+    later guard on the same matrix costs O(1)."""
+    if A._valid is None:
+        A._valid = len(topological_order(A.omega.k, block_arcs(A))) == A.omega.k
+    return A._valid
 
 
 def validate(A: ReducedMatrix) -> ValidityReport:

@@ -4,9 +4,12 @@ The mod 2 cohomology of a small cover over a product of simplices is the
 Stanley-Reisner ring of the polytope modulo the linear relations coming from
 the characteristic matrix.  Eliminating the linear relations leaves k
 variables x_1..x_k (the classes of the facets F^1_0..F^k_0) and k substituted
-monomial generators.  The total Stiefel-Whitney class is the product of the
-facet classes (1 + x) over all n + k facets, expanded here with degree
-truncation and reduced per degree by GF(2) row echelon.
+monomial generators.  Both the total Stiefel-Whitney class and the generators
+come from one product routine, `_expand`: the total class is the product of
+(1 + sum of x_j over the row) over the n + k rows of [I_k; A] (Davis and
+Januszkiewicz, 1991), truncated above the wanted degree, and generator i is
+the top piece of the product over the unit row e_i and block-row i.  The
+result is reduced per degree by GF(2) row echelon.
 
 No Groebner machinery: only degrees up to about 7 in at most a handful of
 variables ever occur, so per-degree linear algebra is exact and cheap.
@@ -15,7 +18,7 @@ variables ever occur, so per-degree linear algebra is exact and cheap.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .model import ReducedMatrix, require_valid
 
@@ -44,21 +47,6 @@ class GradedPolynomial:
     def __init__(self, k: int, pieces: dict[int, frozenset[ExpVec]]):
         self.k = k
         self.pieces = {d: terms for d, terms in pieces.items() if terms}
-
-    @classmethod
-    def zero(cls, k: int) -> "GradedPolynomial":
-        return cls(k, {})
-
-    @classmethod
-    def one(cls, k: int) -> "GradedPolynomial":
-        return cls(k, {0: frozenset({(0,) * k})})
-
-    @classmethod
-    def variable(cls, k: int, i: int) -> "GradedPolynomial":
-        if not 0 <= i < k:
-            raise IndexError(i)
-        e = tuple(1 if t == i else 0 for t in range(k))
-        return cls(k, {1: frozenset({e})})
 
     @classmethod
     def from_terms(cls, k: int, terms: Iterable[ExpVec]) -> "GradedPolynomial":
@@ -95,37 +83,6 @@ class GradedPolynomial:
     def __hash__(self) -> int:
         return hash((self.k, frozenset((d, s) for d, s in self.pieces.items())))
 
-    def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        if self.k != other.k:
-            raise ValueError("variable count mismatch")
-        out: dict[int, frozenset[ExpVec]] = {}
-        for d in set(self.pieces) | set(other.pieces):
-            out[d] = self.piece(d) ^ other.piece(d)
-        return GradedPolynomial(self.k, out)
-
-    def mul(self, other: "GradedPolynomial", maxdeg: Optional[int] = None) -> "GradedPolynomial":
-        """Product over GF(2), discarding degrees above maxdeg if given."""
-        if self.k != other.k:
-            raise ValueError("variable count mismatch")
-        acc: dict[int, set[ExpVec]] = {}
-        for d1, terms1 in self.pieces.items():
-            for d2, terms2 in other.pieces.items():
-                d = d1 + d2
-                if maxdeg is not None and d > maxdeg:
-                    continue
-                bucket = acc.setdefault(d, set())
-                for e1 in terms1:
-                    for e2 in terms2:
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        if e in bucket:
-                            bucket.remove(e)
-                        else:
-                            bucket.add(e)
-        return GradedPolynomial(self.k, {d: frozenset(s) for d, s in acc.items()})
-
-    def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self.mul(other)
-
     def __repr__(self) -> str:
         return f"GradedPolynomial({polynomial_str(self)!r})"
 
@@ -152,36 +109,31 @@ def polynomial_str(p: GradedPolynomial) -> str:
 
 
 class DegreeBasis:
-    """Row-reduced span of the ideal inside one graded piece.
+    """Echelon span of the ideal inside one graded piece.
 
     Monomials of the degree are indexed in descending lex order; a
     polynomial of that degree is a bitmask with bit t = monomial t.  Rows
-    are kept fully reduced, keyed by pivot index (the leading monomial).
+    are keyed by pivot index, their lowest bit (the leading monomial), and
+    the pivots are distinct.  Every nonzero element of the span then has a
+    pivot as its lowest bit, so `reduce`, clearing the pivots in ascending
+    order, yields the one representative with no pivot bit set.
     """
 
-    __slots__ = ("k", "degree", "monomials", "index", "rows")
+    __slots__ = ("monomials", "index", "rows")
 
-    def __init__(self, k: int, degree: int, vectors: Iterable[int]):
-        self.k = k
-        self.degree = degree
+    def __init__(self, k: int, degree: int):
         self.monomials = tuple(monomials_of_degree(k, degree))
         self.index = {e: t for t, e in enumerate(self.monomials)}
         self.rows: dict[int, int] = {}
-        for vec in vectors:
-            self._insert(vec)
 
     def _insert(self, vec: int) -> None:
-        cur = vec
-        while cur:
-            p = (cur & -cur).bit_length() - 1
-            if p in self.rows:
-                cur ^= self.rows[p]
-                continue
-            for q, row in list(self.rows.items()):
-                if (row >> p) & 1:
-                    self.rows[q] = row ^ cur
-            self.rows[p] = cur
-            return
+        while vec:
+            p = (vec & -vec).bit_length() - 1
+            row = self.rows.get(p)
+            if row is None:
+                self.rows[p] = vec
+                return
+            vec ^= row
 
     @property
     def rank(self) -> int:
@@ -205,16 +157,24 @@ class DegreeBasis:
         return mask
 
 
-def _linear_form(k: int, row: int) -> GradedPolynomial:
-    """sum of x_j over the set bits j of a matrix row."""
-    return GradedPolynomial.from_terms(
-        k,
-        (
-            tuple(1 if t == j else 0 for t in range(k))
-            for j in range(k)
-            if (row >> j) & 1
-        ),
-    )
+def _expand(k: int, rows: Iterable[int], maxdeg: int) -> list[set[ExpVec]]:
+    """prod over rows of (1 + sum of x_j over the set bits j of the row),
+    truncated above maxdeg: entry d holds the exponent vectors of degree d."""
+    pieces: list[set[ExpVec]] = [{(0,) * k}] + [set() for _ in range(maxdeg)]
+    for row in rows:
+        js = [j for j in range(k) if (row >> j) & 1]
+        # Descending, so pieces[d - 1] is still the product without this row.
+        for d in range(maxdeg, 0, -1):
+            bucket = pieces[d]
+            for e in pieces[d - 1]:
+                for j in js:
+                    f = e[:j] + (e[j] + 1,) + e[j + 1:]
+                    # GF(2): a repeated term cancels
+                    if f in bucket:
+                        bucket.remove(f)
+                    else:
+                        bucket.add(f)
+    return pieces
 
 
 @functools.lru_cache(maxsize=1)
@@ -222,20 +182,18 @@ def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
     """Substitute the linear relations into the Stanley-Reisner generators.
 
     g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l), of degree
-    n_i + 1; the diagonal convention makes each factor contain x_i.  Every
-    caller asks for one matrix's generators several times in a row and never
-    returns to an earlier one, so one cached entry suffices, and a matrix is
-    validated only when it is not the cached one.
+    n_i + 1: the top piece of the product over e_i and block-row i.  The
+    diagonal convention makes each factor contain x_i.  Every caller asks
+    for one matrix's generators several times in a row and never returns to
+    an earlier one, so one cached entry suffices.
     """
     require_valid(A)
     k = A.omega.k
     gens = []
     for i in range(k):
-        g = GradedPolynomial.variable(k, i)
-        off = A.omega.offset(i)
-        for row in A.rows[off:off + A.omega[i]]:
-            g = g * _linear_form(k, row)
-        gens.append(g)
+        off, top = A.omega.offset(i), A.omega[i] + 1
+        pieces = _expand(k, (1 << i,) + A.rows[off:off + A.omega[i]], top)
+        gens.append(GradedPolynomial(k, {top: frozenset(pieces[top])}))
     return tuple(gens)
 
 
@@ -244,8 +202,7 @@ def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
     if d < 1:
         raise ValueError("degree must be positive")
     k = A.omega.k
-    probe = DegreeBasis(k, d, ())
-    vectors = []
+    basis = DegreeBasis(k, d)
     for i, g in enumerate(relation_generators(A)):
         gdeg = A.omega[i] + 1
         if gdeg > d:
@@ -253,8 +210,8 @@ def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
         gterms = g.piece(gdeg)
         for m in monomials_of_degree(k, d - gdeg):
             shifted = (tuple(a + b for a, b in zip(e, m)) for e in gterms)
-            vectors.append(probe.to_mask(shifted))
-    return DegreeBasis(k, d, vectors)
+            basis._insert(basis.to_mask(shifted))
+    return basis
 
 
 def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
@@ -270,18 +227,14 @@ def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
 
 
 def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:
-    """Expansion of prod(1 + x_i) * prod over rows (1 + sum_j a_rj x_j)."""
+    """Expansion of prod over the rows of [I_k; A] of (1 + sum_j a_rj x_j),
+    truncated above maxdeg; the identity rows give the factors (1 + x_i)."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
     require_valid(A)
     k = A.omega.k
-    total = GradedPolynomial.one(k)
-    for i in range(k):
-        factor = GradedPolynomial.one(k) + GradedPolynomial.variable(k, i)
-        total = total.mul(factor, maxdeg)
-    for row in A.rows:
-        total = total.mul(GradedPolynomial.one(k) + _linear_form(k, row), maxdeg)
-    return total
+    pieces = _expand(k, [1 << i for i in range(k)] + list(A.rows), maxdeg)
+    return GradedPolynomial(k, {d: frozenset(s) for d, s in enumerate(pieces)})
 
 
 def sw_oracle(A: ReducedMatrix, m: int) -> GradedPolynomial:

@@ -31,7 +31,7 @@ from spincover.census import (
     compact_matrix,
     write_census_header,
 )
-from spincover import census
+from spincover import census, oracle
 from spincover.cli import main
 from conftest import dv
 
@@ -207,6 +207,23 @@ def test_records_built_only_for_a_sink_or_a_flag(monkeypatch):
     assert len(built) == 8 + 3 and len(records) == 3
 
 
+def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
+    expanded = []
+    real = oracle.total_sw_truncated
+
+    def counting(A, maxdeg):
+        expanded.append(A)
+        return real(A, maxdeg)
+
+    monkeypatch.setattr(oracle, "total_sw_truncated", counting)
+    monkeypatch.setattr(census, "total_sw_truncated", counting)
+    rec = build_record(matrix_from_counter(dv(1, 1, 1, 1), 0), [])
+    assert len(expanded) == 1 and rec.spin_oracle
+    expanded.clear()
+    report = crosscheck_w(dv(3, 3), 3)
+    assert len(expanded) == len(set(expanded)) == report.total_valid == 15
+
+
 def test_w_crosscheck_full():
     report = crosscheck_w(dv(3, 3), 3)
     assert (report.total_valid, report.counts["vanish"]) == (15, 7)
@@ -330,6 +347,9 @@ CENSUS_DIGESTS = {
         0, "608f574abd4390c84aed35284398f97d50a6ef31e5ec0f1d1ba6a28165d74337"),
     "enumerate --omega 1,2,2": (
         0, "38b45182495ca58d7816a01f2d6ed902a697770b38fd626dd987a8e48920e161"),
+    # real Bott manifolds of dimension 4: 543 valid, 43 orientable, 43 Spin
+    "verify --omega 1,1,1,1 --check spin": (
+        0, "34a8fd728e092b100e5a69d8da048e8b0d0b65a85afcd44bc85cd356989405aa"),
 }
 
 

@@ -11,6 +11,7 @@ from spincover import (
     ReducedMatrix,
     conjugate_by_permutation,
     enumerate_valid,
+    identity_matrix,
     ideal_degree_basis,
     normal_form,
     oracle_class_is_zero,
@@ -20,6 +21,7 @@ from spincover import (
     sw_oracle,
     total_sw_truncated,
 )
+from spincover.closedform import binom_parity
 from spincover.oracle import monomials_of_degree
 from conftest import dv, rp
 
@@ -41,22 +43,6 @@ def test_from_terms_toggles_duplicates():
     assert poly(2, (1, 0), (1, 0), (1, 0)) == poly(2, (1, 0))
 
 
-def test_arithmetic_basics():
-    one = GradedPolynomial.one(2)
-    x = GradedPolynomial.variable(2, 0)
-    y = GradedPolynomial.variable(2, 1)
-    assert one * x == x
-    assert x + x == GradedPolynomial.zero(2)
-    assert (x + y) * (x + y) == poly(2, (2, 0), (0, 2))
-    assert x.mul(x, maxdeg=1).is_zero()
-
-
-def test_truncating_product():
-    one_plus_x = poly(1, (0,), (1,))
-    cube = one_plus_x.mul(one_plus_x).mul(one_plus_x, maxdeg=2)
-    assert cube == poly(1, (0,), (1,), (2,))
-
-
 def test_degree_part():
     p = poly(2, (1, 0), (1, 1), (0, 2))
     assert p.degree_part(2) == poly(2, (1, 1), (0, 2))
@@ -64,8 +50,8 @@ def test_degree_part():
 
 
 def test_polynomial_str_formats():
-    assert polynomial_str(GradedPolynomial.zero(3)) == "0"
-    assert polynomial_str(GradedPolynomial.one(3)) == "1"
+    assert polynomial_str(poly(3)) == "0"
+    assert polynomial_str(poly(3, (0, 0, 0))) == "1"
     assert polynomial_str(poly(3, (2, 0, 1), (0, 1, 0))) == "x1^2*x3 + x2"
     assert polynomial_str(poly(2, (1, 1), (0, 2), (2, 0))) == "x1^2 + x1*x2 + x2^2"
 
@@ -94,7 +80,44 @@ def test_relation_generators_require_validity():
 def test_total_class_small_cases(torus):
     assert total_sw_truncated(torus, 2) == poly(2, (0, 0), (2, 0), (0, 2))
     assert total_sw_truncated(rp(2), 2) == poly(1, (0,), (1,), (2,))
-    assert total_sw_truncated(torus, 0) == GradedPolynomial.one(2)
+    assert total_sw_truncated(torus, 0) == poly(2, (0, 0))
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 4), (3, 3), (2, 2, 2), (5,), (1, 1, 1, 1)])
+def test_identity_expansion_is_binomial(dims):
+    # For I_omega the total class is prod (1 + x_i)^(n_i + 1), so the
+    # degree-m piece holds the e with every C(n_i + 1, e_i) odd.
+    omega = dv(*dims)
+    ident = identity_matrix(omega)
+    for d in range(omega.n + 2):
+        total = total_sw_truncated(ident, d)
+        assert max(total.degrees()) <= d
+        for m in range(d + 1):
+            expected = {
+                e
+                for e in monomials_of_degree(omega.k, m)
+                if all(binom_parity(n + 1, x) for n, x in zip(dims, e))
+            }
+            assert total.piece(m) == expected
+
+
+def hilbert_coefficient(dims, d):
+    """The coefficient of t^d in prod (1 + t + ... + t^{n_i})."""
+    coeffs = [1]
+    for n in dims:
+        coeffs = [sum(coeffs[max(0, e - n):e + 1]) for e in range(len(coeffs) + n)]
+    return coeffs[d] if d < len(coeffs) else 0
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3), (1, 1, 2), (3, 3)])
+def test_quotient_has_the_hilbert_function_of_the_polytope(dims):
+    # The degree-d piece of the quotient has dimension #{e : |e| = d,
+    # e_i <= n_i}, whatever the matrix and the monomial order.
+    omega = dv(*dims)
+    for A in enumerate_valid(omega):
+        for d in range(1, omega.n + 2):
+            free = math.comb(d + omega.k - 1, d) - ideal_degree_basis(A, d).rank
+            assert free == hilbert_coefficient(dims, d)
 
 
 def test_ideal_degree_basis_ranks(torus):
@@ -113,7 +136,7 @@ def test_normal_form_reduces_generators(torus):
     assert normal_form(poly(2, (2, 0)), torus).is_zero()
     xy = poly(2, (1, 1))
     assert normal_form(xy, torus) == xy
-    assert normal_form(GradedPolynomial.zero(2), torus).is_zero()
+    assert normal_form(poly(2), torus).is_zero()
 
 
 @given(st.data())
