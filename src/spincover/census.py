@@ -10,11 +10,12 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from typing import Callable, Iterator, Optional, TextIO
 
@@ -72,17 +73,24 @@ def bit_layout(omega: DimensionVector) -> list[tuple[int, int]]:
     return layout
 
 
+@functools.lru_cache(maxsize=None)
+def _cells_by_bit(omega: DimensionVector) -> tuple[tuple[int, int], ...]:
+    """bit_layout indexed by counter bit, least significant first."""
+    return tuple(reversed(bit_layout(omega)))
+
+
 def space_size(omega: DimensionVector) -> int:
     return 1 << (omega.n * (omega.k - 1))
 
 
 def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
-    layout = bit_layout(omega)
-    nbits = len(layout)
+    cells = _cells_by_bit(omega)
     rows = identity_rows(omega)
-    for pos, (r, c) in enumerate(layout):
-        if (counter >> (nbits - 1 - pos)) & 1:
-            rows[r] |= 1 << c
+    while counter:
+        low = counter & -counter
+        r, c = cells[low.bit_length() - 1]
+        rows[r] |= 1 << c
+        counter ^= low
     return ReducedMatrix(omega, rows)
 
 
@@ -226,7 +234,7 @@ def build_record(A: ReducedMatrix, flags: list[str]) -> CensusRecord:
         orientable=spin.orientable,
         spin_closed=spin.spin,
         spin_digraph=has_spin_digraph(from_matrix(A)).spin,
-        spin_oracle=not reduced.piece(1) and not reduced.piece(2),
+        spin_oracle=1 not in reduced.pieces and 2 not in reduced.pieces,
         w_digests={
             m: polynomial_str(reduced.degree_part(m)) for m in range(1, top + 1)
         },
@@ -237,7 +245,7 @@ def build_record(A: ReducedMatrix, flags: list[str]) -> CensusRecord:
 def _run(
     omega: DimensionVector,
     counts: dict[str, int],
-    check: Callable[[ReducedMatrix, DiscrepancyReport], list[str]],
+    check: Callable[[ReducedMatrix, DiscrepancyReport, Optional[CensusRecord]], list[str]],
     sample: Optional[int],
     budget: int,
     seed: int,
@@ -248,7 +256,7 @@ def _run(
 
     The check returns the discrepancy flags of one matrix and may bump the
     report's counts.  A census record is built only for a sink or a flagged
-    matrix.
+    matrix; for a sink it is built first and handed to the check.
     """
     if sample is None:
         matrices = enumerate_valid(omega, budget=budget, threads=threads)
@@ -259,11 +267,10 @@ def _run(
     report = DiscrepancyReport(omega.dims, total, 0, counts)
     for A in matrices:
         report.total_valid += 1
-        flags = check(A, report)
-        if not flags and sink is None:
-            continue
-        rec = build_record(A, flags)
+        rec = None if sink is None else build_record(A, [])
+        flags = check(A, report, rec)
         if flags:
+            rec = build_record(A, flags) if rec is None else replace(rec, flags=tuple(flags))
             report.discrepancies.append(rec)
         if sink is not None:
             sink(rec)
@@ -279,26 +286,32 @@ def crosscheck_spin(
     """Compare the matrix, digraph and oracle Spin deciders on every valid A.
 
     Also enforces that the sufficient condition implies Spin, and that it
-    is exactly Spin when no factor is an interval.
+    is exactly Spin when no factor is an interval.  With a record at hand the
+    three verdicts are the record's, so each decider runs once per matrix.
     """
     l_zero = omega.l == 0
 
-    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
-        closed = has_spin(A)
-        dig = has_spin_digraph(from_matrix(A)).spin
-        orac = oracle_has_spin(A)
+    def check(A: ReducedMatrix, report: DiscrepancyReport, rec: Optional[CensusRecord]) -> list[str]:
+        if rec is None:
+            closed = has_spin(A)
+            orientable, spin = closed.orientable, closed.spin
+            dig = has_spin_digraph(from_matrix(A)).spin
+            orac = oracle_has_spin(A)
+        else:
+            orientable, spin = rec.orientable, rec.spin_closed
+            dig, orac = rec.spin_digraph, rec.spin_oracle
         suff = spin_sufficient(A)
         flags = []
-        if closed.spin != dig:
+        if spin != dig:
             flags.append("spin-closed-digraph-mismatch")
-        if closed.spin != orac:
+        if spin != orac:
             flags.append("spin-closed-oracle-mismatch")
-        if suff and not closed.spin:
+        if suff and not spin:
             flags.append("sufficient-but-not-spin")
-        if l_zero and suff != closed.spin:
+        if l_zero and suff != spin:
             flags.append("l0-necessity-mismatch")
-        report.counts["orientable"] += closed.orientable
-        report.counts["spin"] += closed.spin
+        report.counts["orientable"] += orientable
+        report.counts["spin"] += spin
         return flags
 
     counts = {"orientable": 0, "spin": 0}
@@ -328,7 +341,7 @@ def crosscheck_w(
     if any(d < m for d in omega.dims):
         raise ValueError(f"every factor dimension must be at least {m}")
 
-    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
+    def check(A: ReducedMatrix, report: DiscrepancyReport, _rec: object) -> list[str]:
         closed_poly = closed_coefficients(A, m).polynomial(A.omega.k)
         vanish = (w3_vanishes_big if m == 3 else w4_vanishes_big)(A)
         wm = total_sw_truncated(A, m).degree_part(m)
@@ -359,7 +372,7 @@ def verify_elementary(
     if omega.k < 2:
         raise ValueError("needs at least two factors")
 
-    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
+    def check(A: ReducedMatrix, report: DiscrepancyReport, _rec: object) -> list[str]:
         whole = has_spin(A).spin
         report.counts["spin"] += whole
         comp_spins = []
@@ -404,7 +417,7 @@ def verify_conjecture(
         raise ValueError("t must be 1 or 2")
     top = 3 if t == 1 else 4
 
-    def check(A: ReducedMatrix, report: DiscrepancyReport) -> list[str]:
+    def check(A: ReducedMatrix, report: DiscrepancyReport, _rec: object) -> list[str]:
         pred = conjecture_predicate(A, t, reading)
         vanish = all(oracle_class_is_zero(A, m) for m in range(1, top + 1))
         report.counts["predicate"] += pred

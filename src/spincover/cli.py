@@ -297,7 +297,7 @@ def enumerate_cmd(
 ) -> None:
     """Enumerate the valid matrices of a family, optionally writing a census."""
     def driver(omega: DimensionVector, sink: Sink) -> DiscrepancyReport:
-        return _run(omega, {}, lambda A, report: [], None, budget, DEFAULT_SEED, threads, sink)
+        return _run(omega, {}, lambda *_: [], None, budget, DEFAULT_SEED, threads, sink)
 
     report = _run_family(omega_text, census_path, DEFAULT_SEED, budget, driver)
     space, valid = report.total_enumerated, report.total_valid

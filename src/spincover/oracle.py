@@ -4,12 +4,18 @@ The mod 2 cohomology of a small cover over a product of simplices is the
 Stanley-Reisner ring of the polytope modulo the linear relations coming from
 the characteristic matrix.  Eliminating the linear relations leaves k
 variables x_1..x_k (the classes of the facets F^1_0..F^k_0) and k substituted
-monomial generators.  Both the total Stiefel-Whitney class and the generators
-come from one product routine, `_expand`: the total class is the product of
-(1 + sum of x_j over the row) over the n + k rows of [I_k; A] (Davis and
-Januszkiewicz, 1991), truncated above the wanted degree, and generator i is
-the top piece of the product over the unit row e_i and block-row i.  The
-result is reduced per degree by GF(2) row echelon.
+generators g_i = x_i * prod over block-row i of (sum of x_j over the row).
+
+A degree-d piece of a polynomial is an int bitmask, bit t the t-th monomial
+of degree d in descending lex order.  Tables cached per (k, d) list these
+monomials and, per variable x_j, the bit of x_j times each of them, so a
+piece times a linear form is an XOR of table entries over its set bits.
+`_expand` multiplies out the total class, the product over the n + k rows
+of [I_k; A] of (1 + sum of x_j over the row) (Davis and Januszkiewicz,
+1991), truncated above the wanted degree.  The ideal in degree d is
+sum_j x_j * I_{d-1} plus the g_i of degree d, so its echelon basis is built
+from the one below and kept per degree for the current matrix; a census
+record reduces one expansion of its total class against these bases.
 
 No Groebner machinery: only degrees up to about 7 in at most a handful of
 variables ever occur, so per-degree linear algebra is exact and cheap.
@@ -35,31 +41,66 @@ def monomials_of_degree(k: int, d: int) -> Iterator[ExpVec]:
             yield (e,) + rest
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_index(k: int, d: int) -> tuple[tuple[ExpVec, ...], dict[ExpVec, int]]:
+    """The monomials of degree d, descending lex, and the bit of each."""
+    monomials = tuple(monomials_of_degree(k, d))
+    return monomials, {e: t for t, e in enumerate(monomials)}
+
+
+@functools.lru_cache(maxsize=None)
+def _times_x(k: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Entry j, t: the degree-(d + 1) bit of x_j times monomial t of degree d."""
+    monomials = _monomial_index(k, d)[0]
+    index = _monomial_index(k, d + 1)[1]
+    return tuple(
+        tuple(1 << index[e[:j] + (e[j] + 1,) + e[j + 1:]] for e in monomials)
+        for j in range(k)
+    )
+
+
+def _times_linear(k: int, d: int, row: int, mask: int) -> int:
+    """The degree-d piece `mask` times the sum of x_j over the set bits of row."""
+    # x_1 times monomial t of degree d is monomial t of degree d + 1.
+    out = mask if row & 1 else 0
+    tables = _times_x(k, d)
+    images = [tables[j] for j in range(1, k) if (row >> j) & 1]
+    while images and mask:
+        low = mask & -mask
+        t = low.bit_length() - 1
+        for image in images:
+            out ^= image[t]
+        mask ^= low
+    return out
+
+
+def _terms(k: int, d: int, mask: int) -> list[ExpVec]:
+    """The monomials of a degree-d piece, descending lex."""
+    monomials = _monomial_index(k, d)[0] if mask else ()
+    return [monomials[t] for t in range(mask.bit_length()) if (mask >> t) & 1]
+
+
 class GradedPolynomial:
     """Polynomial over GF(2) in k variables, stored by degree.
 
-    pieces[d] is the frozenset of exponent vectors with coefficient 1 in
-    degree d; empty degrees are never stored.
+    pieces[d] is the degree-d piece as a bitmask over the monomials of
+    degree d in descending lex order; zero pieces are never stored.
     """
 
     __slots__ = ("k", "pieces")
 
-    def __init__(self, k: int, pieces: dict[int, frozenset[ExpVec]]):
+    def __init__(self, k: int, pieces: dict[int, int]):
         self.k = k
-        self.pieces = {d: terms for d, terms in pieces.items() if terms}
+        self.pieces = {d: mask for d, mask in pieces.items() if mask}
 
     @classmethod
     def from_terms(cls, k: int, terms: Iterable[ExpVec]) -> "GradedPolynomial":
-        acc: dict[int, set[ExpVec]] = {}
+        acc: dict[int, int] = {}
         for e in terms:
             d = sum(e)
-            bucket = acc.setdefault(d, set())
             # GF(2): a repeated term cancels
-            if e in bucket:
-                bucket.remove(e)
-            else:
-                bucket.add(e)
-        return cls(k, {d: frozenset(s) for d, s in acc.items()})
+            acc[d] = acc.get(d, 0) ^ (1 << _monomial_index(k, d)[1][e])
+        return cls(k, acc)
 
     def is_zero(self) -> bool:
         return not self.pieces
@@ -68,10 +109,10 @@ class GradedPolynomial:
         return sorted(self.pieces)
 
     def piece(self, d: int) -> frozenset[ExpVec]:
-        return self.pieces.get(d, frozenset())
+        return frozenset(_terms(self.k, d, self.pieces.get(d, 0)))
 
     def degree_part(self, d: int) -> "GradedPolynomial":
-        return GradedPolynomial(self.k, {d: self.piece(d)})
+        return GradedPolynomial(self.k, {d: self.pieces.get(d, 0)})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -81,7 +122,7 @@ class GradedPolynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.k, frozenset((d, s) for d, s in self.pieces.items())))
+        return hash((self.k, frozenset(self.pieces.items())))
 
     def __repr__(self) -> str:
         return f"GradedPolynomial({polynomial_str(self)!r})"
@@ -103,27 +144,22 @@ def polynomial_str(p: GradedPolynomial) -> str:
         return "0"
     terms = []
     for d in sorted(p.pieces, reverse=True):
-        for e in sorted(p.pieces[d], reverse=True):
-            terms.append(_monomial_str(e))
+        terms.extend(_monomial_str(e) for e in _terms(p.k, d, p.pieces[d]))
     return " + ".join(terms)
 
 
 class DegreeBasis:
     """Echelon span of the ideal inside one graded piece.
 
-    Monomials of the degree are indexed in descending lex order; a
-    polynomial of that degree is a bitmask with bit t = monomial t.  Rows
-    are keyed by pivot index, their lowest bit (the leading monomial), and
-    the pivots are distinct.  Every nonzero element of the span then has a
-    pivot as its lowest bit, so `reduce`, clearing the pivots in ascending
+    Rows are keyed by pivot index, their lowest bit (the leading monomial),
+    and the pivots are distinct.  Every nonzero element of the span then has
+    a pivot as its lowest bit, so `reduce`, clearing the pivots in ascending
     order, yields the one representative with no pivot bit set.
     """
 
-    __slots__ = ("monomials", "index", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, k: int, degree: int):
-        self.monomials = tuple(monomials_of_degree(k, degree))
-        self.index = {e: t for t, e in enumerate(self.monomials)}
+    def __init__(self):
         self.rows: dict[int, int] = {}
 
     def _insert(self, vec: int) -> None:
@@ -139,17 +175,6 @@ class DegreeBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def to_mask(self, terms: Iterable[ExpVec]) -> int:
-        mask = 0
-        for e in terms:
-            mask ^= 1 << self.index[e]
-        return mask
-
-    def from_mask(self, mask: int) -> frozenset[ExpVec]:
-        return frozenset(
-            self.monomials[t] for t in range(mask.bit_length()) if (mask >> t) & 1
-        )
-
     def reduce(self, mask: int) -> int:
         for p in sorted(self.rows):
             if (mask >> p) & 1:
@@ -157,23 +182,15 @@ class DegreeBasis:
         return mask
 
 
-def _expand(k: int, rows: Iterable[int], maxdeg: int) -> list[set[ExpVec]]:
+def _expand(k: int, rows: Iterable[int], maxdeg: int) -> list[int]:
     """prod over rows of (1 + sum of x_j over the set bits j of the row),
-    truncated above maxdeg: entry d holds the exponent vectors of degree d."""
-    pieces: list[set[ExpVec]] = [{(0,) * k}] + [set() for _ in range(maxdeg)]
+    truncated above maxdeg: entry d is the degree-d piece."""
+    pieces = [1] + [0] * maxdeg
     for row in rows:
-        js = [j for j in range(k) if (row >> j) & 1]
         # Descending, so pieces[d - 1] is still the product without this row.
         for d in range(maxdeg, 0, -1):
-            bucket = pieces[d]
-            for e in pieces[d - 1]:
-                for j in js:
-                    f = e[:j] + (e[j] + 1,) + e[j + 1:]
-                    # GF(2): a repeated term cancels
-                    if f in bucket:
-                        bucket.remove(f)
-                    else:
-                        bucket.add(f)
+            if pieces[d - 1]:
+                pieces[d] ^= _times_linear(k, d - 1, row, pieces[d - 1])
     return pieces
 
 
@@ -182,47 +199,47 @@ def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
     """Substitute the linear relations into the Stanley-Reisner generators.
 
     g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l), of degree
-    n_i + 1: the top piece of the product over e_i and block-row i.  The
-    diagonal convention makes each factor contain x_i.  Every caller asks
-    for one matrix's generators several times in a row and never returns to
-    an earlier one, so one cached entry suffices.
+    n_i + 1.  The diagonal convention makes each factor contain x_i.  Every
+    caller asks for one matrix's generators several times in a row and never
+    returns to an earlier one, so one cached entry suffices.
     """
     require_valid(A)
     k = A.omega.k
     gens = []
     for i in range(k):
-        off, top = A.omega.offset(i), A.omega[i] + 1
-        pieces = _expand(k, (1 << i,) + A.rows[off:off + A.omega[i]], top)
-        gens.append(GradedPolynomial(k, {top: frozenset(pieces[top])}))
+        off, mask = A.omega.offset(i), 1 << i  # x_i is monomial i of degree 1
+        for d, row in enumerate(A.rows[off:off + A.omega[i]], 1):
+            mask = _times_linear(k, d, row, mask)
+        gens.append(GradedPolynomial(k, {A.omega[i] + 1: mask}))
     return tuple(gens)
 
 
+@functools.lru_cache(maxsize=1)
+def _ideal_bases(A: ReducedMatrix) -> dict[int, DegreeBasis]:
+    """The bases of A built so far, by degree; kept like the generators."""
+    return {}
+
+
 def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
-    """Echelon basis of {m * g_i : deg m = d - n_i - 1} in degree d."""
+    """Echelon basis of I_d = sum_j x_j * I_{d-1} + span{g_i : n_i + 1 = d}."""
     if d < 1:
         raise ValueError("degree must be positive")
-    k = A.omega.k
-    basis = DegreeBasis(k, d)
-    for i, g in enumerate(relation_generators(A)):
-        gdeg = A.omega[i] + 1
-        if gdeg > d:
-            continue
-        gterms = g.piece(gdeg)
-        for m in monomials_of_degree(k, d - gdeg):
-            shifted = (tuple(a + b for a, b in zip(e, m)) for e in gterms)
-            basis._insert(basis.to_mask(shifted))
-    return basis
+    bases = _ideal_bases(A)
+    if d not in bases:
+        k, basis = A.omega.k, DegreeBasis()
+        for vec in ideal_degree_basis(A, d - 1).rows.values() if d > 1 else ():
+            for j in range(k):
+                basis._insert(_times_linear(k, d - 1, 1 << j, vec))
+        for i, g in enumerate(relation_generators(A)):
+            if A.omega[i] + 1 == d:
+                basis._insert(g.pieces[d])
+        bases[d] = basis
+    return bases[d]
 
 
 def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
     """Canonical representative of p modulo the ideal, degree by degree."""
-    out: dict[int, frozenset[ExpVec]] = {}
-    for d, terms in p.pieces.items():
-        if d == 0:
-            out[d] = terms
-            continue
-        basis = ideal_degree_basis(A, d)
-        out[d] = basis.from_mask(basis.reduce(basis.to_mask(terms)))
+    out = {d: ideal_degree_basis(A, d).reduce(m) if d else m for d, m in p.pieces.items()}
     return GradedPolynomial(p.k, out)
 
 
@@ -234,7 +251,7 @@ def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:
     require_valid(A)
     k = A.omega.k
     pieces = _expand(k, [1 << i for i in range(k)] + list(A.rows), maxdeg)
-    return GradedPolynomial(k, {d: frozenset(s) for d, s in enumerate(pieces)})
+    return GradedPolynomial(k, dict(enumerate(pieces)))
 
 
 def sw_oracle(A: ReducedMatrix, m: int) -> GradedPolynomial:

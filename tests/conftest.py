@@ -77,3 +77,23 @@ def principal_minors_all_one(rows: list[int]) -> bool:
         if det_rows(sub, mask) != 1:
             return False
     return True
+
+
+def expand_tuples(k: int, rows: list[int], maxdeg: int) -> list[set[tuple[int, ...]]]:
+    """prod over rows of (1 + sum of x_j over the set bits j of the row),
+    truncated above maxdeg: entry d holds the exponent vectors of degree d.
+
+    Exponent tuples in sets, one term at a time: the definitional expansion
+    that the bitmask kernel `spincover.oracle._expand` is compared against.
+    """
+    pieces: list[set[tuple[int, ...]]] = [{(0,) * k}] + [set() for _ in range(maxdeg)]
+    for row in rows:
+        js = [j for j in range(k) if (row >> j) & 1]
+        # Descending, so pieces[d - 1] is still the product without this row.
+        for d in range(maxdeg, 0, -1):
+            bucket = pieces[d]
+            for e in pieces[d - 1]:
+                for j in js:
+                    # GF(2): a repeated term cancels
+                    bucket ^= {e[:j] + (e[j] + 1,) + e[j + 1:]}
+    return pieces

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import io
 import itertools
@@ -222,6 +223,37 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
     expanded.clear()
     report = crosscheck_w(dv(3, 3), 3)
     assert len(expanded) == len(set(expanded)) == report.total_valid == 15
+
+    # With a sink, the Spin cross-check reads its verdicts off the record:
+    # one expansion, one closed-form decider and one digraph per record, and
+    # the ideal basis of each degree built once per matrix.
+    expanded.clear()
+    decided, digraphs, bases = [], [], []
+    real_has_spin, real_from_matrix = census.has_spin, census.from_matrix
+
+    def counting_has_spin(A):
+        decided.append(A)
+        return real_has_spin(A)
+
+    def counting_from_matrix(A):
+        digraphs.append(A)
+        return real_from_matrix(A)
+
+    class CountingBasis(oracle.DegreeBasis):
+        def __init__(self):
+            super().__init__()
+            bases.append(expanded[-1])
+
+    monkeypatch.setattr(census, "has_spin", counting_has_spin)
+    monkeypatch.setattr(census, "from_matrix", counting_from_matrix)
+    monkeypatch.setattr(oracle, "DegreeBasis", CountingBasis)
+    records = []
+    report = crosscheck_spin(dv(1, 2, 2), sink=records.append)
+    assert len(records) == report.total_valid == 157
+    assert len(set(expanded)) == len(expanded) == len(records)
+    assert decided == digraphs == expanded
+    # build_record reduces degrees 1..4: four bases per matrix, no repeats
+    assert collections.Counter(bases) == dict.fromkeys(expanded, 4)
 
 
 def test_w_crosscheck_full():

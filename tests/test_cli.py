@@ -4,11 +4,12 @@ import io
 import json
 import time
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from spincover import census
+from spincover import GradedPolynomial, census, normal_form
 from spincover.cli import main
 
 from conftest import DATA
@@ -476,6 +477,51 @@ def test_w3_digraph_disagreement_is_flagged(runner, monkeypatch):
     assert lines[0] == "valid: 15, vanish: 7, discrepancies: 15"
     assert all(line.startswith("  w3-closed-digraph-mismatch: ") for line in lines[1:])
     assert len(lines) == 16
+
+
+def lying_reduction(p, A):
+    """The oracle's reduction with w_1 and w_2 vanishing exactly when they
+    really do not, so its Spin verdict is the wrong one on every matrix."""
+    real = normal_form(p, A)
+    pieces = {d: mask for d, mask in real.pieces.items() if d > 2}
+    if 1 not in real.pieces and 2 not in real.pieces:
+        pieces[1] = 1  # x_1
+    return GradedPolynomial(real.k, pieces)
+
+
+def assert_every_matrix_flagged(runner, tmp_path, with_census, flag):
+    out = tmp_path / "census.jsonl"
+    args = ["verify", "--omega", "1,2,2", "--check", "spin"]
+    result = runner.invoke(main, args + (["--census", str(out)] if with_census else []))
+    assert result.exit_code == 4
+    lines = result.output.splitlines()
+    assert lines[0] == "valid: 157, orientable: 7, spin: 0, discrepancies: 157"
+    assert len(lines) == 158
+    assert all(line.startswith(f"  {flag}: ") for line in lines[1:])
+    assert out.exists() == with_census
+    if with_census:
+        records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert len(records) == 157
+        assert all(rec["flags"] == [flag] for rec in records)
+
+
+@pytest.mark.parametrize("with_census", [False, True])
+def test_a_lying_oracle_spin_verdict_is_flagged(runner, monkeypatch, tmp_path, with_census):
+    # Without a census the check asks the oracle itself; with one it reads
+    # the verdict of the record, which comes from the reduced total class.
+    real = census.oracle_has_spin
+    monkeypatch.setattr(census, "oracle_has_spin", lambda A: not real(A))
+    monkeypatch.setattr(census, "normal_form", lying_reduction)
+    assert_every_matrix_flagged(runner, tmp_path, with_census, "spin-closed-oracle-mismatch")
+
+
+@pytest.mark.parametrize("with_census", [False, True])
+def test_a_lying_digraph_spin_verdict_is_flagged(runner, monkeypatch, tmp_path, with_census):
+    real = census.has_spin_digraph
+    monkeypatch.setattr(
+        census, "has_spin_digraph", lambda G: SimpleNamespace(spin=not real(G).spin)
+    )
+    assert_every_matrix_flagged(runner, tmp_path, with_census, "spin-closed-digraph-mismatch")
 
 
 def test_conjecture_shifted_clean(runner):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -22,8 +23,11 @@ from spincover import (
     total_sw_truncated,
 )
 from spincover.closedform import binom_parity
-from spincover.oracle import monomials_of_degree
-from conftest import dv, rp
+from spincover import oracle
+from spincover.oracle import DegreeBasis, monomials_of_degree
+from conftest import dv, expand_tuples, rp
+
+HILBERT_FAMILIES = [(1, 1, 1, 1), (2, 3), (1, 1, 2), (3, 3)]
 
 
 def poly(k, *terms):
@@ -109,7 +113,7 @@ def hilbert_coefficient(dims, d):
     return coeffs[d] if d < len(coeffs) else 0
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3), (1, 1, 2), (3, 3)])
+@pytest.mark.parametrize("dims", HILBERT_FAMILIES)
 def test_quotient_has_the_hilbert_function_of_the_polytope(dims):
     # The degree-d piece of the quotient has dimension #{e : |e| = d,
     # e_i <= n_i}, whatever the matrix and the monomial order.
@@ -118,6 +122,70 @@ def test_quotient_has_the_hilbert_function_of_the_polytope(dims):
         for d in range(1, omega.n + 2):
             free = math.comb(d + omega.k - 1, d) - ideal_degree_basis(A, d).rank
             assert free == hilbert_coefficient(dims, d)
+
+
+def decode(k, d, mask):
+    """The exponent vectors of a degree-d bitmask piece, read off the
+    descending lex list of the degree-d monomials."""
+    monomials = list(monomials_of_degree(k, d))
+    assert mask >> len(monomials) == 0
+    return {e for t, e in enumerate(monomials) if (mask >> t) & 1}
+
+
+def test_bitmask_expansion_matches_the_tuple_reference():
+    rng = random.Random(8)
+    for _ in range(400):
+        k, maxdeg = rng.randint(1, 6), rng.randint(0, 6)
+        rows = [rng.randrange(1 << k) for _ in range(rng.randint(0, 8))]
+        got = oracle._expand(k, rows, maxdeg)
+        assert [decode(k, d, mask) for d, mask in enumerate(got)] == expand_tuples(
+            k, rows, maxdeg
+        )
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 2), (2, 3)])
+def test_total_class_and_generators_match_the_tuple_reference(dims):
+    omega = dv(*dims)
+    k = omega.k
+    for A in enumerate_valid(omega):
+        total = total_sw_truncated(A, omega.n)
+        want = expand_tuples(k, [1 << i for i in range(k)] + list(A.rows), omega.n)
+        assert [decode(k, d, total.pieces.get(d, 0)) for d in range(omega.n + 1)] == want
+        for i, g in enumerate(relation_generators(A)):
+            off, top = omega.offset(i), omega[i] + 1
+            want = expand_tuples(k, [1 << i, *A.rows[off:off + omega[i]]], top)[top]
+            assert g.degrees() == [top] and decode(k, top, g.pieces[top]) == want
+
+
+def generator_shift_basis(A, d):
+    """Every generator times every monomial of the complementary degree:
+    the definitional spanning set of the ideal in degree d."""
+    k = A.omega.k
+    index = {e: t for t, e in enumerate(monomials_of_degree(k, d))}
+    basis = DegreeBasis()
+    for i, g in enumerate(relation_generators(A)):
+        gdeg = A.omega[i] + 1
+        if gdeg > d:
+            continue
+        for m in monomials_of_degree(k, d - gdeg):
+            vec = 0
+            for e in g.piece(gdeg):
+                vec ^= 1 << index[tuple(a + b for a, b in zip(e, m))]
+            basis._insert(vec)
+    return basis
+
+
+@pytest.mark.parametrize("dims", HILBERT_FAMILIES)
+def test_degree_recursive_basis_matches_the_generator_shifts(dims):
+    # Equal reductions of every monomial mean equal spans, since the
+    # reduction is linear and vanishes exactly on the span.
+    omega = dv(*dims)
+    for A in enumerate_valid(omega):
+        for d in range(1, omega.n + 2):
+            fast, slow = ideal_degree_basis(A, d), generator_shift_basis(A, d)
+            assert fast.rank == slow.rank
+            for t in range(math.comb(d + omega.k - 1, d)):
+                assert fast.reduce(1 << t) == slow.reduce(1 << t)
 
 
 def test_ideal_degree_basis_ranks(torus):
