@@ -3,9 +3,9 @@
 The off-diagonal entries of a candidate matrix are packed into a counter:
 block-rows ascending, then columns, then bits, with the first position most
 significant, so counting up walks the assignments in lexicographic order.
-Workers validate disjoint contiguous counter ranges and the parent splices
-the surviving counters back together in range order, which makes the output
-identical for any worker count.
+Only the valid ones, those with an acyclic block relation, are walked.  Workers
+walk contiguous slices of the first block-row, spliced back in slice order, so
+the output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import random
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .closedform import (
     closed_coefficients,
@@ -94,10 +94,45 @@ def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
     return ReducedMatrix(omega, rows)
 
 
-def _validate_range(args: tuple[tuple[int, ...], int, int]) -> list[int]:
-    dims, start, stop = args
-    omega = DimensionVector(dims)
-    return [c for c in range(start, stop) if is_valid(matrix_from_counter(omega, c))]
+def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, ...]]:
+    """Rows of the valid matrices whose first block-row, as its part of the
+    counter, lies in [start, stop); in counter order.  Block-row i holds the
+    arcs out of vertex i: it is zero in every column j that already reaches i
+    through block-rows 0..i-1 and counts up through the submasks of the rest.
+    Later block-rows are still zero, so every branch ends in a valid matrix.
+    reach[v] is the bitmask of the vertices that v reaches by one or more arcs.
+    """
+    n, k, cells = omega.n, omega.k, _cells_by_bit(omega)
+    rows = identity_rows(omega)
+
+    def extend(i: int, reach: list[int], x: int, stop: int) -> Iterator[tuple[int, ...]]:
+        off, d = omega.offset(i), omega[i]
+        mine = cells[(n - off - d) * (k - 1):(n - off) * (k - 1)]
+        free = sum(1 << b for b, (_, j) in enumerate(mine) if not (reach[j] >> i) & 1)
+        while x < stop:
+            rows[off:off + d] = [1 << i] * d
+            out, bits = 0, x
+            while bits:
+                low = bits & -bits
+                r, j = mine[low.bit_length() - 1]
+                rows[r] |= 1 << j
+                out |= (1 << j) | reach[j]
+                bits ^= low
+            if i + 1 == k:
+                yield tuple(rows)
+            else:
+                after = [r | out if (r >> i) & 1 else r for r in reach]
+                after[i] = out
+                yield from extend(i + 1, after, 0, 1 << len(cells))
+            if x == free:
+                return
+            x = (x - free) & free
+
+    yield from extend(0, [0] * k, start, stop)
+
+
+def _walk_slice(args: tuple[DimensionVector, int, int]) -> list[tuple[int, ...]]:
+    return list(_walk(*args))
 
 
 def enumerate_valid(
@@ -111,26 +146,17 @@ def enumerate_valid(
     """
     space = space_size(omega)
     if space > budget:
-        raise BudgetError(
-            f"search space {space} exceeds budget {budget}", space, budget
-        )
+        raise BudgetError(f"search space {space} exceeds budget {budget}", space, budget)
     threads = min(threads, os.cpu_count() or 1)
+    first = 1 << (omega[0] * (omega.k - 1))
     if threads <= 1 or space < 1024:
-        for c in range(space):
-            A = matrix_from_counter(omega, c)
-            if is_valid(A):
-                yield A
-        return
-    bounds = [space * t // threads for t in range(threads + 1)]
-    jobs = [
-        (omega.dims, bounds[t], bounds[t + 1])
-        for t in range(threads)
-        if bounds[t] < bounds[t + 1]
-    ]
-    with Pool(processes=len(jobs)) as pool:
-        for chunk in pool.map(_validate_range, jobs):
-            for c in chunk:
-                yield matrix_from_counter(omega, c)
+        found: Iterable[tuple[int, ...]] = _walk(omega, 0, first)
+    else:
+        bounds = [first * t // threads for t in range(threads + 1)]
+        jobs = [(omega, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        with Pool(processes=len(jobs)) as pool:
+            found = itertools.chain.from_iterable(pool.map(_walk_slice, jobs))
+    yield from filter(is_valid, (ReducedMatrix(omega, rows) for rows in found))
 
 
 def sample_valid(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 
@@ -30,9 +32,16 @@ class InvalidMatrixError(ValueError):
     """Raised when an operation requires a valid characteristic matrix."""
 
 
+@lru_cache(maxsize=None)
+def _block_offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The row offsets of the blocks and n, shared by every vector of the same
+    dims: a tuple per vector raised the peak RSS of a long run of requests."""
+    return tuple(accumulate(dims, initial=0))
+
+
 @dataclass(frozen=True)
 class DimensionVector:
-    """Block sizes (n_1, ..., n_k) of the simplex factors."""
+    """Block sizes (n_1, ..., n_k) of the simplex factors; immutable, so sizes are cached."""
 
     dims: tuple[int, ...]
 
@@ -43,22 +52,22 @@ class DimensionVector:
             if d < 1:
                 raise ValueError(f"factor dimension {d} is not positive")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.dims)
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def l(self) -> int:
         """Number of interval factors (n_i = 1)."""
         return sum(1 for d in self.dims if d == 1)
 
     def offset(self, i: int) -> int:
-        """Row index where block i starts."""
-        return sum(self.dims[:i])
+        """Row index where block i starts (0 <= i <= k)."""
+        return _block_offsets(self.dims)[i]
 
     def __iter__(self):
         return iter(self.dims)
@@ -85,8 +94,8 @@ class ValidityReport:
 
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
-    (r, c), and the column ints are cached for counting products.  `_valid`
-    memoises the verdict of `is_valid` (None until it is first asked)."""
+    (r, c).  The column ints `_cols`, for counting products, and the verdict
+    `_valid` of `is_valid` are computed on first use (None until then)."""
 
     __slots__ = ("omega", "rows", "_cols", "_valid")
 
@@ -100,10 +109,7 @@ class ReducedMatrix:
                 raise ValueError(f"row bits outside the width k={omega.k}")
         self.omega = omega
         self.rows = tuple(rows)
-        self._cols = tuple(
-            sum(((r >> j) & 1) << t for t, r in enumerate(self.rows))
-            for j in range(omega.k)
-        )
+        self._cols: Optional[tuple[int, ...]] = None
         self._valid: Optional[bool] = None
 
     @classmethod
@@ -132,24 +138,31 @@ class ReducedMatrix:
     def __repr__(self) -> str:
         return f"ReducedMatrix({serialize_matrix(self)!r})"
 
+    def _columns(self) -> tuple[int, ...]:
+        if self._cols is None:
+            self._cols = tuple(
+                sum(((r >> j) & 1) << t for t, r in enumerate(self.rows))
+                for j in range(self.omega.k)
+            )
+        return self._cols
+
     def block(self, i: int, j: int) -> int:
         """v_ij, the part of column j lying in block-row i, as an int whose
         bit t is row t of block i."""
         k = self.omega.k
         if not (0 <= i < k and 0 <= j < k):
             raise IndexError((i, j))
-        off = self.omega.offset(i)
-        width = self.omega[i]
-        return (self._cols[j] >> off) & ((1 << width) - 1)
+        return (self._columns()[j] >> self.omega.offset(i)) & ((1 << self.omega[i]) - 1)
 
     def k_count(self, cols: Iterable[int]) -> int:
         """k_S: rows carrying 1 in every column of S, as a plain integer."""
         S = tuple(cols)
         if not S:
             raise ValueError("empty column set")
+        cols = self._columns()
         acc = (1 << self.omega.n) - 1
         for c in S:
-            acc &= self._cols[c]
+            acc &= cols[c]
         return acc.bit_count()
 
 

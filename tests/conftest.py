@@ -1,8 +1,16 @@
+import functools
 from pathlib import Path
 
 import pytest
 
-from spincover import DimensionVector, ReducedMatrix, parse_matrix
+from spincover import (
+    DimensionVector,
+    ReducedMatrix,
+    is_valid,
+    matrix_from_counter,
+    parse_matrix,
+    space_size,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,3 +105,36 @@ def expand_tuples(k: int, rows: list[int], maxdeg: int) -> list[set[tuple[int, .
                     # GF(2): a repeated term cancels
                     bucket ^= {e[:j] + (e[j] + 1,) + e[j + 1:]}
     return pieces
+
+
+@functools.lru_cache(maxsize=None)
+def filter_valid(omega: DimensionVector) -> tuple[ReducedMatrix, ...]:
+    """Every candidate decoded from its counter and kept when valid, in
+    counter order: the definitional slow path that the acyclicity walk of
+    `enumerate_valid` is compared against."""
+    candidates = (matrix_from_counter(omega, c) for c in range(space_size(omega)))
+    return tuple(A for A in candidates if is_valid(A))
+
+
+def count_valid(dims: tuple[int, ...]) -> int:
+    """The number of valid matrices over dims, without enumerating them.
+
+    A valid matrix is an acyclic relation on the factors whose arc i -> j
+    carries a nonzero block v_ij of n_i bits.  By inclusion-exclusion over
+    the nonempty set T of sources of the subset S (Robinson 1973; Stanley
+    1973), a(S) = sum over T of (-1)^(|T|+1) * prod_{t in T} 2^(n_t |S - T|)
+    * a(S - T): each source picks its blocks towards S - T freely.
+    """
+    @functools.lru_cache(maxsize=None)
+    def a(S: int) -> int:
+        total = 0
+        T = S
+        while T:
+            rest = S & ~T
+            bits = sum(d for t, d in enumerate(dims) if (T >> t) & 1)
+            sign = 1 if T.bit_count() % 2 else -1
+            total += sign * (1 << (bits * rest.bit_count())) * a(rest)
+            T = (T - 1) & S
+        return total if S else 1
+
+    return a((1 << len(dims)) - 1)

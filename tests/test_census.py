@@ -32,9 +32,9 @@ from spincover.census import (
     compact_matrix,
     write_census_header,
 )
-from spincover import census, oracle
+from spincover import census, model, oracle
 from spincover.cli import main
-from conftest import dv
+from conftest import count_valid, dv, filter_valid
 
 
 
@@ -142,6 +142,77 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, processes):
     capped = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=100000)]
     assert started == processes
     assert capped == [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2))]
+
+
+WALK_FAMILIES = [
+    dims
+    for k in range(1, 5)
+    for dims in itertools.product(range(1, 4), repeat=k)
+    if space_size(DimensionVector(dims)) <= 2**14
+]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("dims", WALK_FAMILIES)
+def test_walk_matches_the_filter(monkeypatch, dims, threads):
+    # three CPUs, so the pooled path runs wherever the space reaches 1024
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    verdicts = []
+
+    def recording_is_valid(A):
+        verdicts.append(model.is_valid(A))
+        return verdicts[-1]
+
+    monkeypatch.setattr(census, "is_valid", recording_is_valid)
+    omega = DimensionVector(dims)
+    walked = [A.rows for A in enumerate_valid(omega, threads=threads)]
+    assert walked == [A.rows for A in filter_valid(omega)]
+    # the walk emits no invalid matrix for the guard to drop
+    assert len(verdicts) == len(walked) and all(verdicts)
+
+
+def test_pooled_slices_splice_into_the_serial_walk(monkeypatch):
+    jobs = []
+
+    class RecordingPool:
+        # runs the jobs in this process and records their slices
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            jobs.extend(args)
+            return [fn(job) for job in args]
+
+    monkeypatch.setattr(census, "Pool", RecordingPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    omega = dv(2, 2, 2)
+    pooled = [A.rows for A in enumerate_valid(omega, threads=3)]
+    # the first block-row has 16 assignments, which split 5/5/6
+    assert [stop - start for _, start, stop in jobs] == [5, 5, 6]
+    assert pooled == [A.rows for A in enumerate_valid(omega, threads=1)]
+
+
+@pytest.mark.parametrize("dims", sorted(FAMILY_COUNTS))
+def test_count_oracle_reproduces_the_frozen_counts(dims):
+    assert count_valid(dims) == FAMILY_COUNTS[dims][0]
+
+
+def test_count_oracle_known_values():
+    assert count_valid((1, 2, 4)) == 1525
+    # OEIS A003024, acyclic digraphs on k labelled vertices
+    assert [count_valid((1,) * k) for k in range(1, 7)] == [1, 3, 25, 543, 29281, 3781503]
+
+
+@pytest.mark.parametrize("dims, expected", [((4, 4, 4), 23041), ((1, 1, 1, 1, 1), 29281)])
+def test_walk_count_matches_the_count_oracle(dims, expected):
+    assert count_valid(dims) == expected
+    assert sum(1 for _ in enumerate_valid(DimensionVector(dims))) == expected
 
 
 def test_sampling_is_seeded_and_valid():

@@ -352,6 +352,13 @@ def test_enumerate_census_file(runner, tmp_path):
     assert all(rec["flags"] == [] for rec in records)
 
 
+def test_enumerate_reports_the_raw_candidate_space(runner):
+    result = runner.invoke(main, ["enumerate", "--omega", "4,4,4", "--json"])
+    assert result.exit_code == 0
+    obj = json.loads(result.output)
+    assert (obj["space"], obj["valid"]) == (16_777_216, 23_041)
+
+
 def test_enumerate_budget_refusal(runner):
     result = runner.invoke(main, ["enumerate", "--omega", "1,2,2", "--budget", "100"])
     assert result.exit_code == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -50,6 +51,30 @@ def test_dimension_vector_derived_quantities():
     assert list(w) == [1, 2, 1, 5]
     assert len(w) == 4
     assert w[1] == 2
+
+
+@pytest.mark.parametrize("dims", [(1,), (3, 1), (1, 2, 1, 5), (4, 4, 4, 2, 1)])
+def test_dimension_vector_sizes_are_read_once(dims):
+    w = DimensionVector(dims)
+    assert [w.offset(i) for i in range(len(dims) + 1)] == [
+        sum(dims[:i]) for i in range(len(dims) + 1)
+    ]
+    assert (w.n, w.k, w.l) == (sum(dims), len(dims), dims.count(1))
+    # kept on the instance after the first read, outside the dataclass fields
+    assert {"n", "k", "l"} <= set(vars(w))
+    assert [f.name for f in dataclasses.fields(w)] == ["dims"]
+    same = DimensionVector(dims)
+    assert w == same and hash(w) == hash(same)
+    assert repr(w) == f"DimensionVector(dims={dims!r})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.dims = (1,)
+
+
+def test_column_ints_are_built_on_first_use(spin_235):
+    A = ReducedMatrix(spin_235.omega, spin_235.rows)
+    assert A._cols is None
+    assert A.k_count([0, 1, 2]) == 1
+    assert A._cols is not None
 
 
 def test_dimension_vector_rejects_bad_dims():
