@@ -52,7 +52,8 @@ SCHEMA_VERSION = 1
 
 class BudgetError(RuntimeError):
     """A refused run: a search space larger than the caller allowed, or a
-    sample that the draw cap could not fill (space and budget then 0)."""
+    sample that the draw cap could not fill (space and budget then 0).  A
+    space of more than 2^64 candidates is never built; its space is 0."""
 
     def __init__(self, message: str, space: int = 0, budget: int = 0):
         super().__init__(message)
@@ -81,6 +82,16 @@ def _cells_by_bit(omega: DimensionVector) -> tuple[tuple[int, int], ...]:
 
 def space_size(omega: DimensionVector) -> int:
     return 1 << (omega.n * (omega.k - 1))
+
+
+def check_budget(omega: DimensionVector, budget: int) -> None:
+    """Refuse a space of 2^{n(k-1)} candidates over budget by comparing
+    exponents, so a huge space is neither built nor printed in full."""
+    bits = omega.n * (omega.k - 1)
+    if bits >= max(budget, 0).bit_length():
+        space = 1 << bits if bits <= 64 else 0
+        shown = space or f"2^{bits}"
+        raise BudgetError(f"search space {shown} exceeds budget {budget}", space, budget)
 
 
 def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
@@ -144,12 +155,10 @@ def enumerate_valid(
 
     At most one worker process per CPU is started, whatever `threads` asks.
     """
-    space = space_size(omega)
-    if space > budget:
-        raise BudgetError(f"search space {space} exceeds budget {budget}", space, budget)
+    check_budget(omega, budget)
     threads = min(threads, os.cpu_count() or 1)
     first = 1 << (omega[0] * (omega.k - 1))
-    if threads <= 1 or space < 1024:
+    if threads <= 1 or omega.n * (omega.k - 1) < 10:
         found: Iterable[tuple[int, ...]] = _walk(omega, 0, first)
     else:
         bounds = [first * t // threads for t in range(threads + 1)]
@@ -285,6 +294,7 @@ def _run(
     matrix; for a sink it is built first and handed to the check.
     """
     if sample is None:
+        check_budget(omega, budget)
         matrices = enumerate_valid(omega, budget=budget, threads=threads)
         total = space_size(omega)
     else:

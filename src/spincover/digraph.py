@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Collection, Mapping
+from typing import Mapping
 
 from .model import (
     DimensionVector,
     ReducedMatrix,
-    block_arcs,
+    block_successors,
     identity_rows,
+    reach,
     require_valid,
-    topological_order,
 )
 from .closedform import SpinReport
 
@@ -30,20 +30,6 @@ class CyclicDigraphError(ValueError):
 
 class DigraphFormatError(ValueError):
     """Malformed digraph JSON."""
-
-
-def _reaches_itself(v: int, arcs: Collection[tuple[int, int]]) -> bool:
-    """Whether a directed path of length at least one leads from v back to v."""
-    seen: set[int] = set()
-    todo = [j for i, j in arcs if i == v]
-    while todo:
-        u = todo.pop()
-        if u == v:
-            return True
-        if u not in seen:
-            seen.add(u)
-            todo.extend(j for i, j in arcs if i == u)
-    return False
 
 
 def _bit_string(w: int, width: int) -> str:
@@ -64,6 +50,7 @@ class WeightedDigraph:
     def __init__(self, omega: DimensionVector, edges: Mapping[tuple[int, int], int]):
         k = omega.k
         clean: dict[tuple[int, int], int] = {}
+        succ = [0] * k
         for (i, j), w in edges.items():
             if not (0 <= i < k and 0 <= j < k):
                 raise ValueError(f"edge ({i}, {j}) out of range")
@@ -76,8 +63,9 @@ class WeightedDigraph:
                 )
             if w:
                 clean[(i, j)] = w
-        if len(topological_order(k, clean)) != k:
-            on_cycle = [v + 1 for v in range(k) if _reaches_itself(v, clean)]
+                succ[i] |= 1 << j
+        on_cycle = [v + 1 for v, r in enumerate(reach(succ)) if (r >> v) & 1]
+        if on_cycle:
             raise CyclicDigraphError(f"directed cycle through vertices {on_cycle}")
         self.omega = omega
         self.edges = clean
@@ -113,7 +101,14 @@ class WeightedDigraph:
 def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
     """Digraph with adjacency matrix A - I_omega."""
     require_valid(A)
-    return WeightedDigraph(A.omega, {(i, j): A.block(i, j) for i, j in block_arcs(A)})
+    k = A.omega.k
+    edges = {
+        (i, j): A.block(i, j)
+        for i, succ in enumerate(block_successors(A))
+        for j in range(k)
+        if (succ >> j) & 1
+    }
+    return WeightedDigraph(A.omega, edges)
 
 
 def to_matrix(G: WeightedDigraph) -> ReducedMatrix:

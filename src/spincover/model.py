@@ -13,7 +13,6 @@ reports are 1-based.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -187,19 +186,21 @@ def _union(masks: Iterable[int]) -> int:
     return acc
 
 
-def _arcs(succ: Sequence[int]) -> list[tuple[int, int]]:
-    """The relation i -> j for every bit j of succ[i], in ascending order."""
-    arcs = []
-    for i, m in enumerate(succ):
-        while m:
-            low = m & -m
-            arcs.append((i, low.bit_length() - 1))
-            m ^= low
-    return arcs
+def reach(succ: Sequence[int]) -> list[int]:
+    """Per vertex v, the mask of the vertices that v reaches by one or more
+    arcs, where bit j of succ[i] is an arc i -> j; by Warshall's closure in
+    O(k^2) int operations.  v lies on a cycle exactly when its own bit is set."""
+    out = list(succ)
+    for m, via in enumerate(out):
+        bit = 1 << m
+        for i, r in enumerate(out):
+            if r & bit:
+                out[i] = r | via
+    return out
 
 
 def _is_cyclic(succ: Sequence[int]) -> bool:
-    return len(topological_order(len(succ), _arcs(succ))) < len(succ)
+    return any((r >> v) & 1 for v, r in enumerate(reach(succ)))
 
 
 def _path_lengths(succ: Sequence[int], v: int) -> list[int]:
@@ -225,18 +226,19 @@ def _induced(succ: Sequence[int], subset: Iterable[int]) -> list[int]:
     return [m & inside if (inside >> c) & 1 else 0 for c, m in enumerate(succ)]
 
 
-def block_arcs(A: ReducedMatrix) -> list[tuple[int, int]]:
-    """i -> j when v_ij != 0 (i != j), and a loop i -> i when v_ii is not all ones."""
-    return _arcs([_union(rows) for rows in _successors(A)])
+def block_successors(A: ReducedMatrix) -> list[int]:
+    """Per vertex i, the mask of the j with i -> j: v_ij != 0 (i != j), and
+    a loop i -> i when v_ii is not all ones."""
+    return [_union(rows) for rows in _successors(A)]
 
 
 def is_valid(A: ReducedMatrix) -> bool:
-    """The non-singularity condition: a shortest cycle of `block_arcs` spans a
-    vanishing principal minor, and without a cycle every row selection is
-    unitriangular after relabeling.  The verdict is kept on A, so every
-    later guard on the same matrix costs O(1)."""
+    """The non-singularity condition: a shortest cycle of `block_successors`
+    spans a vanishing principal minor, and without a cycle every row
+    selection is unitriangular after relabeling.  The verdict is kept on A,
+    so every later guard on the same matrix costs O(1)."""
     if A._valid is None:
-        A._valid = len(topological_order(A.omega.k, block_arcs(A))) == A.omega.k
+        A._valid = not _is_cyclic(block_successors(A))
     return A._valid
 
 
@@ -341,29 +343,6 @@ def conjugate_by_permutation(A: ReducedMatrix, sigma: Sequence[int]) -> ReducedM
                 new_row |= ((old_row >> inv[q]) & 1) << q
             rows.append(new_row)
     return ReducedMatrix(new_omega, rows)
-
-
-def topological_order(k: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
-    """Kahn order of the vertices 0..k-1, smallest available vertex first.
-
-    Vertices on a directed cycle, or reachable from one, are never emitted,
-    so the order is shorter than k exactly when the relation is cyclic.
-    """
-    succ: list[list[int]] = [[] for _ in range(k)]
-    indeg = [0] * k
-    for i, j in arcs:
-        succ[i].append(j)
-        indeg[j] += 1
-    ready = [v for v in range(k) if indeg[v] == 0]
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return order
 
 
 def elementary_component(A: ReducedMatrix, i: int, j: int) -> ReducedMatrix:

@@ -107,6 +107,21 @@ def expand_tuples(k: int, rows: list[int], maxdeg: int) -> list[set[tuple[int, .
     return pieces
 
 
+def reaches_itself(v: int, arcs: list[tuple[int, int]]) -> bool:
+    """Whether a directed path of length at least one leads from v back to v;
+    the definitional test that `model.reach` answers for every vertex."""
+    seen: set[int] = set()
+    todo = [j for i, j in arcs if i == v]
+    while todo:
+        u = todo.pop()
+        if u == v:
+            return True
+        if u not in seen:
+            seen.add(u)
+            todo.extend(j for i, j in arcs if i == u)
+    return False
+
+
 @functools.lru_cache(maxsize=None)
 def filter_valid(omega: DimensionVector) -> tuple[ReducedMatrix, ...]:
     """Every candidate decoded from its counter and kept when valid, in

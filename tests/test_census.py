@@ -112,6 +112,22 @@ def test_budget_refusal():
     assert "1024" in str(exc.value)
 
 
+@pytest.mark.parametrize("budget, refused", [(1024, False), (1023, True), (0, True), (-5, True)])
+def test_budget_bounds_the_space_exactly(budget, refused):
+    if refused:
+        with pytest.raises(BudgetError, match="search space 1024 exceeds"):
+            next(enumerate_valid(dv(1, 2, 2), budget=budget))
+    else:
+        assert sum(1 for _ in enumerate_valid(dv(1, 2, 2), budget=budget)) == 157
+
+
+def test_budget_refuses_a_huge_space_without_building_it():
+    with pytest.raises(BudgetError) as exc:
+        next(enumerate_valid(dv(7200, 7200)))
+    assert str(exc.value) == "search space 2^14400 exceeds budget 16777216"
+    assert (exc.value.space, exc.value.budget) == (0, 2**24)
+
+
 def test_worker_count_does_not_change_output():
     single = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=1)]
     pooled = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=3)]

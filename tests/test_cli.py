@@ -231,6 +231,8 @@ def test_convert_rejects_cycle(runner, tmp_path):
         ([(1, 2), (2, 1), (2, 3)], [1, 2]),
         # 3 sits between the cycles 1 <-> 2 and 4 <-> 5
         ([(1, 2), (2, 1), (2, 3), (3, 4), (4, 5), (5, 4)], [1, 2, 4, 5]),
+        # one ring through all of 800 vertices
+        ([(i, i % 800 + 1) for i in range(1, 801)], list(range(1, 801))),
     ],
 )
 def test_convert_names_only_vertices_on_a_cycle(runner, tmp_path, arcs, on_cycle):
@@ -241,7 +243,9 @@ def test_convert_names_only_vertices_on_a_cycle(runner, tmp_path, arcs, on_cycle
     }
     src = tmp_path / "cycle.json"
     src.write_text(json.dumps(doc))
+    start = time.perf_counter()
     result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    assert time.perf_counter() - start < 2
     assert result.exit_code == 2
     assert f"directed cycle through vertices {on_cycle}\n" in result.stderr
 
@@ -363,6 +367,18 @@ def test_enumerate_budget_refusal(runner):
     result = runner.invoke(main, ["enumerate", "--omega", "1,2,2", "--budget", "100"])
     assert result.exit_code == 3
     assert "1024" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+@pytest.mark.parametrize(
+    "omega, bits", [("7200,7200", 14_400), ("100000000,2", 100_000_002)]
+)
+def test_huge_space_is_refused_by_its_exponent(runner, command, omega, bits):
+    start = time.perf_counter()
+    result = runner.invoke(main, [command, "--omega", omega])
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 3
+    assert result.stderr == f"search space 2^{bits} exceeds budget 16777216\n"
 
 
 @pytest.mark.parametrize("omega", ["0,2", "x", "2,"])

@@ -1,5 +1,7 @@
 import dataclasses
+import heapq
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,31 @@ from spincover import (
     space_size,
     validate,
 )
-from spincover.model import block_arcs, require_valid, topological_order
-from conftest import det_rows, dv, principal_minors_all_one
+from spincover.model import block_successors, reach, require_valid
+from conftest import det_rows, dv, principal_minors_all_one, reaches_itself
+
+
+def topological_order(k, arcs):
+    """Kahn order of the vertices 0..k-1, smallest available vertex first.
+
+    Vertices on a directed cycle, or reachable from one, are never emitted,
+    so the order is shorter than k exactly when the relation is cyclic.
+    """
+    succ = [[] for _ in range(k)]
+    indeg = [0] * k
+    for i, j in arcs:
+        succ[i].append(j)
+        indeg[j] += 1
+    ready = [v for v in range(k) if indeg[v] == 0]
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order
 
 
 def normalize_upper_triangular(A):
@@ -35,7 +60,8 @@ def normalize_upper_triangular(A):
     """
     require_valid(A)
     k = A.omega.k
-    order = topological_order(k, block_arcs(A))
+    arcs = [(i, j) for i, m in enumerate(block_successors(A)) for j in range(k) if (m >> j) & 1]
+    order = topological_order(k, arcs)
     sigma = [0] * k
     for pos, old in enumerate(order):
         sigma[old] = pos
@@ -138,11 +164,26 @@ def test_validate_fixture(spin_235):
     assert validate(spin_235).valid
 
 
-def test_block_arcs_read_blocks_and_diagonals():
+def test_block_successors_read_blocks_and_diagonals():
     # off-diagonal arcs both ways, a loop where v_22 = (0, 1) is not all ones
     A = ReducedMatrix.from_rows((1, 2), [[1, 1], [1, 0], [1, 1]])
-    assert block_arcs(A) == [(0, 1), (1, 0), (1, 1)]
-    assert block_arcs(identity_matrix(dv(2, 1, 3))) == []
+    assert block_successors(A) == [0b10, 0b11]
+    assert block_successors(identity_matrix(dv(2, 1, 3))) == [0, 0, 0]
+
+
+def test_reach_names_the_vertices_on_a_cycle_like_the_reference():
+    rng = random.Random(20)
+    for _ in range(3000):
+        k = rng.randint(1, 8)
+        density = rng.random()
+        arcs = [(i, j) for i in range(k) for j in range(k) if rng.random() < density / 2]
+        succ = [0] * k
+        for i, j in arcs:
+            succ[i] |= 1 << j
+        closure = reach(succ)
+        assert [v for v in range(k) if (closure[v] >> v) & 1] == [
+            v for v in range(k) if reaches_itself(v, arcs)
+        ]
 
 
 def _selection_rows(A, selection):
