@@ -406,8 +406,12 @@ def parse_matrix(text: str) -> ReducedMatrix:
     return ReducedMatrix.from_rows(dims, rows)
 
 
+def row_strings(A: ReducedMatrix) -> list[str]:
+    """Each row as its k entries in 0/1, column 0 first."""
+    width = f"0{A.omega.k}b"
+    return [format(row, width)[::-1] for row in A.rows]
+
+
 def serialize_matrix(A: ReducedMatrix) -> str:
-    lines = [" ".join(str(d) for d in A.omega.dims)]
-    for r in range(A.omega.n):
-        lines.append("".join(str((A.rows[r] >> c) & 1) for c in range(A.omega.k)))
-    return "\n".join(lines) + "\n"
+    dims = " ".join(str(d) for d in A.omega.dims)
+    return "\n".join([dims, *row_strings(A)]) + "\n"

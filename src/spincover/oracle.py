@@ -8,14 +8,28 @@ generators g_i = x_i * prod over block-row i of (sum of x_j over the row).
 
 A degree-d piece of a polynomial is an int bitmask, bit t the t-th monomial
 of degree d in descending lex order.  Tables cached per (k, d) list these
-monomials and, per variable x_j, the bit of x_j times each of them, so a
-piece times a linear form is an XOR of table entries over its set bits.
-`_expand` multiplies out the total class, the product over the n + k rows
-of [I_k; A] of (1 + sum of x_j over the row) (Davis and Januszkiewicz,
-1991), truncated above the wanted degree.  The ideal in degree d is
-sum_j x_j * I_{d-1} plus the g_i of degree d, so its echelon basis is built
-from the one below and kept per degree for the current matrix; a census
-record reduces one expansion of its total class against these bases.
+monomials, their printed names and, per variable x_j, the bit of x_j times
+each of them, so a piece times a linear form is an XOR of table entries over
+its set bits.  `_expand` multiplies out the total class, the product over
+the n + k rows of [I_k; A] of (1 + sum of x_j over the row) (Davis and
+Januszkiewicz, 1991), truncated above the wanted degree.
+
+Two bounded caches let a family walk, whose last block-row varies fastest,
+reuse work across consecutive matrices.  Each is keyed on exactly the rows
+it reads, so a hit is the value a rebuild would give:
+
+- The ideal in degree d is sum_j x_j * I_{d-1} plus the g_i of degree d,
+  and g_i reads only block-row i.  So the echelon basis of I_d is a function
+  of (omega, d, the rows of the blocks with n_i < d); it is cached on that
+  key and built from the basis of degree d - 1.
+- The expansion multiplies the identity rows and every block-row but the
+  last into a prefix, cached on (k, maxdeg, those rows), and then only the
+  rows of the last block.
+
+Cached values are never mutated, and every entry point validates the matrix
+before a lookup, so an invalid matrix that shares rows with a cached valid
+one is still refused.  A census record reduces one expansion of its total
+class against these bases.
 
 No Groebner machinery: only degrees up to about 7 in at most a handful of
 variables ever occur, so per-degree linear algebra is exact and cheap.
@@ -26,7 +40,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-from .model import ReducedMatrix, require_valid
+from .model import DimensionVector, ReducedMatrix, require_valid
 
 ExpVec = tuple[int, ...]
 
@@ -138,13 +152,20 @@ def _monomial_str(e: ExpVec) -> str:
     return "*".join(parts) if parts else "1"
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_names(k: int, d: int) -> tuple[str, ...]:
+    """The printed name of each monomial of degree d, by bit."""
+    return tuple(_monomial_str(e) for e in _monomial_index(k, d)[0])
+
+
 def polynomial_str(p: GradedPolynomial) -> str:
     """Render like "x1^2*x3 + x2": degree descending, then lex descending."""
     if p.is_zero():
         return "0"
     terms = []
     for d in sorted(p.pieces, reverse=True):
-        terms.extend(_monomial_str(e) for e in _terms(p.k, d, p.pieces[d]))
+        names, mask = _monomial_names(p.k, d), p.pieces[d]
+        terms.extend(names[t] for t in range(mask.bit_length()) if (mask >> t) & 1)
     return " + ".join(terms)
 
 
@@ -182,10 +203,12 @@ class DegreeBasis:
         return mask
 
 
-def _expand(k: int, rows: Iterable[int], maxdeg: int) -> list[int]:
-    """prod over rows of (1 + sum of x_j over the set bits j of the row),
-    truncated above maxdeg: entry d is the degree-d piece."""
-    pieces = [1] + [0] * maxdeg
+def _expand(k: int, rows: Iterable[int], maxdeg: int, start: Iterable[int] = (1,)) -> list[int]:
+    """start (pieces by degree, 1 by default) times the product over rows of
+    (1 + sum of x_j over the set bits j of the row), truncated above maxdeg:
+    entry d is the degree-d piece."""
+    pieces = list(start)
+    pieces += [0] * (maxdeg + 1 - len(pieces))
     for row in rows:
         # Descending, so pieces[d - 1] is still the product without this row.
         for d in range(maxdeg, 0, -1):
@@ -194,63 +217,99 @@ def _expand(k: int, rows: Iterable[int], maxdeg: int) -> list[int]:
     return pieces
 
 
-@functools.lru_cache(maxsize=1)
+def _generator(k: int, i: int, rows: Iterable[int]) -> int:
+    """The piece of g_i: x_i times, per row of block i, the sum of x_j over
+    the set bits j of the row; its degree is the number of rows plus one."""
+    mask = 1 << i  # x_i is monomial i of degree 1
+    for d, row in enumerate(rows, 1):
+        mask = _times_linear(k, d, row, mask)
+    return mask
+
+
 def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
     """Substitute the linear relations into the Stanley-Reisner generators.
 
     g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l), of degree
-    n_i + 1.  The diagonal convention makes each factor contain x_i.  Every
-    caller asks for one matrix's generators several times in a row and never
-    returns to an earlier one, so one cached entry suffices.
+    n_i + 1.  The diagonal convention makes each factor contain x_i.
     """
     require_valid(A)
-    k = A.omega.k
-    gens = []
-    for i in range(k):
-        off, mask = A.omega.offset(i), 1 << i  # x_i is monomial i of degree 1
-        for d, row in enumerate(A.rows[off:off + A.omega[i]], 1):
-            mask = _times_linear(k, d, row, mask)
-        gens.append(GradedPolynomial(k, {A.omega[i] + 1: mask}))
-    return tuple(gens)
+    omega = A.omega
+    return tuple(
+        GradedPolynomial(
+            omega.k,
+            {n + 1: _generator(omega.k, i, A.rows[omega.offset(i):omega.offset(i + 1)])},
+        )
+        for i, n in enumerate(omega.dims)
+    )
 
 
-@functools.lru_cache(maxsize=1)
-def _ideal_bases(A: ReducedMatrix) -> dict[int, DegreeBasis]:
-    """The bases of A built so far, by degree; kept like the generators."""
-    return {}
+@functools.lru_cache(maxsize=None)
+def _rows_read(omega: DimensionVector, d: int) -> tuple[int, ...]:
+    """The indices of the rows of the blocks with n_i < d: all that the
+    generators of degree at most d, and so the ideal in degree d, read."""
+    return tuple(
+        r
+        for i, n in enumerate(omega)
+        if n < d
+        for r in range(omega.offset(i), omega.offset(i + 1))
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> DegreeBasis:
+    """Echelon basis of I_d for every matrix over omega whose rows
+    `_rows_read(omega, d)` are `low`."""
+    k, basis = omega.k, DegreeBasis()
+    row = dict(zip(_rows_read(omega, d), low))
+    if d > 1:
+        below = tuple(row[r] for r in _rows_read(omega, d - 1))
+        for vec in _degree_basis(omega, d - 1, below).rows.values():
+            for j in range(k):
+                basis._insert(_times_linear(k, d - 1, 1 << j, vec))
+    for i, n in enumerate(omega):
+        if n + 1 == d:
+            block = range(omega.offset(i), omega.offset(i + 1))
+            basis._insert(_generator(k, i, [row[r] for r in block]))
+    return basis
+
+
+def _basis(A: ReducedMatrix, d: int) -> DegreeBasis:
+    """The cached basis of I_d for A; the caller has validated A."""
+    rows = A.rows
+    return _degree_basis(A.omega, d, tuple(rows[r] for r in _rows_read(A.omega, d)))
 
 
 def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
     """Echelon basis of I_d = sum_j x_j * I_{d-1} + span{g_i : n_i + 1 = d}."""
     if d < 1:
         raise ValueError("degree must be positive")
-    bases = _ideal_bases(A)
-    if d not in bases:
-        k, basis = A.omega.k, DegreeBasis()
-        for vec in ideal_degree_basis(A, d - 1).rows.values() if d > 1 else ():
-            for j in range(k):
-                basis._insert(_times_linear(k, d - 1, 1 << j, vec))
-        for i, g in enumerate(relation_generators(A)):
-            if A.omega[i] + 1 == d:
-                basis._insert(g.pieces[d])
-        bases[d] = basis
-    return bases[d]
+    require_valid(A)
+    return _basis(A, d)
 
 
 def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
     """Canonical representative of p modulo the ideal, degree by degree."""
-    out = {d: ideal_degree_basis(A, d).reduce(m) if d else m for d, m in p.pieces.items()}
+    require_valid(A)
+    out = {d: _basis(A, d).reduce(m) if d else m for d, m in p.pieces.items()}
     return GradedPolynomial(p.k, out)
+
+
+@functools.lru_cache(maxsize=1)
+def _prefix(k: int, maxdeg: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The truncated product over the identity rows and then `rows`."""
+    return tuple(_expand(k, [*(1 << i for i in range(k)), *rows], maxdeg))
 
 
 def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:
     """Expansion of prod over the rows of [I_k; A] of (1 + sum_j a_rj x_j),
-    truncated above maxdeg; the identity rows give the factors (1 + x_i)."""
+    truncated above maxdeg; the identity rows give the factors (1 + x_i).
+    Every row but those of the last block goes into a cached prefix."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
     require_valid(A)
-    k = A.omega.k
-    pieces = _expand(k, [1 << i for i in range(k)] + list(A.rows), maxdeg)
+    k, last = A.omega.k, A.omega.offset(A.omega.k - 1)
+    start = _prefix(k, maxdeg, A.rows[:last])
+    pieces = _expand(k, A.rows[last:], maxdeg, start)
     return GradedPolynomial(k, dict(enumerate(pieces)))
 
 

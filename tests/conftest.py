@@ -107,6 +107,15 @@ def expand_tuples(k: int, rows: list[int], maxdeg: int) -> list[set[tuple[int, .
     return pieces
 
 
+def serialize_bitwise(A: ReducedMatrix) -> str:
+    """The dimension line, then every row one entry at a time: the
+    definitional text that `serialize_matrix` is compared against."""
+    lines = [" ".join(str(d) for d in A.omega.dims)]
+    for r in range(A.omega.n):
+        lines.append("".join(str((A.rows[r] >> c) & 1) for c in range(A.omega.k)))
+    return "\n".join(lines) + "\n"
+
+
 def reaches_itself(v: int, arcs: list[tuple[int, int]]) -> bool:
     """Whether a directed path of length at least one leads from v back to v;
     the definitional test that `model.reach` answers for every vertex."""

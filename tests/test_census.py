@@ -1,4 +1,4 @@
-import collections
+import functools
 import hashlib
 import io
 import itertools
@@ -312,11 +312,14 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
     assert len(expanded) == len(set(expanded)) == report.total_valid == 15
 
     # With a sink, the Spin cross-check reads its verdicts off the record:
-    # one expansion, one closed-form decider and one digraph per record, and
-    # the ideal basis of each degree built once per matrix.
+    # one expansion, one closed-form decider and one digraph per record.  The
+    # ideal basis of degree d reads only the rows of the blocks with n_i < d,
+    # and consecutive matrices of the walk share them, so each basis is built
+    # once per (degree, rows read) key, not once per matrix.
     expanded.clear()
-    decided, digraphs, bases = [], [], []
+    decided, digraphs, built = [], [], []
     real_has_spin, real_from_matrix = census.has_spin, census.from_matrix
+    real_basis = oracle._degree_basis
 
     def counting_has_spin(A):
         decided.append(A)
@@ -326,21 +329,37 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
         digraphs.append(A)
         return real_from_matrix(A)
 
-    class CountingBasis(oracle.DegreeBasis):
-        def __init__(self):
-            super().__init__()
-            bases.append(expanded[-1])
+    def counting_basis(omega, d, low):
+        built.append((d, low))
+        return real_basis.__wrapped__(omega, d, low)
 
     monkeypatch.setattr(census, "has_spin", counting_has_spin)
     monkeypatch.setattr(census, "from_matrix", counting_from_matrix)
-    monkeypatch.setattr(oracle, "DegreeBasis", CountingBasis)
+    monkeypatch.setattr(
+        oracle,
+        "_degree_basis",
+        functools.lru_cache(maxsize=real_basis.cache_info().maxsize)(counting_basis),
+    )
+    omega = dv(1, 2, 2)
     records = []
-    report = crosscheck_spin(dv(1, 2, 2), sink=records.append)
+    report = crosscheck_spin(omega, sink=records.append)
     assert len(records) == report.total_valid == 157
     assert len(set(expanded)) == len(expanded) == len(records)
     assert decided == digraphs == expanded
-    # build_record reduces degrees 1..4: four bases per matrix, no repeats
-    assert collections.Counter(bases) == dict.fromkeys(expanded, 4)
+    # build_record reduces degrees 1..4: no key is built twice, and the
+    # bases built are the distinct keys of the walk
+    keys = {
+        (d, tuple(
+            r
+            for i, n in enumerate(omega)
+            if n < d
+            for r in A.rows[omega.offset(i):omega.offset(i + 1)]
+        ))
+        for A in expanded
+        for d in range(1, 5)
+    }
+    assert len(built) == len(set(built)) == len(keys) == 319
+    assert set(built) == keys
 
 
 def test_w_crosscheck_full():

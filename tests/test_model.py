@@ -25,7 +25,14 @@ from spincover import (
     validate,
 )
 from spincover.model import block_successors, reach, require_valid
-from conftest import det_rows, dv, principal_minors_all_one, reaches_itself
+from spincover.census import compact_matrix
+from conftest import (
+    det_rows,
+    dv,
+    principal_minors_all_one,
+    reaches_itself,
+    serialize_bitwise,
+)
 
 
 def topological_order(k, arcs):
@@ -374,6 +381,18 @@ def test_parse_skips_comments_and_blank_lines():
 def test_serialize_parse_roundtrip(spin_235, tower_2333):
     for A in (spin_235, tower_2333):
         assert parse_matrix(serialize_matrix(A)) == A
+
+
+def test_serialize_matches_the_bitwise_formatter():
+    rng = random.Random(5)
+    for _ in range(300):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
+        omega = dv(*dims)
+        A = ReducedMatrix(omega, [rng.randrange(1 << omega.k) for _ in range(omega.n)])
+        text = serialize_matrix(A)
+        assert text == serialize_bitwise(A)
+        assert compact_matrix(A) == "/".join(text.splitlines()[1:])
+    assert serialize_matrix(ReducedMatrix(dv(2), [1, 1])) == "2\n1\n1\n"
 
 
 @given(st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 1, 1)]), st.data())

@@ -14,6 +14,7 @@ from spincover import (
     enumerate_valid,
     identity_matrix,
     ideal_degree_basis,
+    is_valid,
     normal_form,
     oracle_class_is_zero,
     oracle_has_spin,
@@ -173,6 +174,56 @@ def generator_shift_basis(A, d):
                 vec ^= 1 << index[tuple(a + b for a, b in zip(e, m))]
             basis._insert(vec)
     return basis
+
+
+def reference_reduced_total(A, maxdeg):
+    """The reduced total class, degree by degree, from the definitional
+    pieces: the tuple expansion of the rows of [I_k; A], reduced against the
+    span of the generator shifts."""
+    k = A.omega.k
+    pieces = expand_tuples(k, [1 << i for i in range(k)] + list(A.rows), maxdeg)
+    out = []
+    for d, terms in enumerate(pieces):
+        index = {e: t for t, e in enumerate(monomials_of_degree(k, d))}
+        mask = sum(1 << index[e] for e in terms)
+        out.append(generator_shift_basis(A, d).reduce(mask) if d else mask)
+    return out
+
+
+@pytest.mark.parametrize("dims", HILBERT_FAMILIES + [(1, 2, 4)])
+def test_cached_oracle_matches_the_definitional_reduction_in_any_order(dims):
+    # The ideal bases and the expansion prefix are cached on the rows they
+    # read.  The walk order reuses them across neighbours; a shuffled order
+    # visits the keys out of turn, which is where a key that leaves out a row
+    # its value depends on would return a stale entry.
+    omega = dv(*dims)
+    walk = list(enumerate_valid(omega))
+    want = {A: reference_reduced_total(A, omega.n) for A in walk}
+    shuffled = walk[:]
+    random.Random(11).shuffle(shuffled)
+    for order in (walk, shuffled):
+        oracle._degree_basis.cache_clear()
+        oracle._prefix.cache_clear()
+        for A in order:
+            got = normal_form(total_sw_truncated(A, omega.n), A)
+            assert [got.pieces.get(d, 0) for d in range(omega.n + 1)] == want[A]
+
+
+def test_cached_entries_still_refuse_an_invalid_matrix():
+    # Over (1, 2) the basis of degree 2 and the expansion prefix read only
+    # block-row 0.  B shares it with the valid A, but its block-row 1 closes
+    # the cycle 1 <-> 2.
+    A = ReducedMatrix.from_rows((1, 2), [[1, 1], [0, 1], [0, 1]])
+    B = ReducedMatrix.from_rows((1, 2), [[1, 1], [1, 1], [0, 1]])
+    assert is_valid(A) and not is_valid(B)
+    ideal_degree_basis(A, 2)
+    normal_form(total_sw_truncated(A, 3), A)
+    with pytest.raises(InvalidMatrixError):
+        ideal_degree_basis(B, 2)
+    with pytest.raises(InvalidMatrixError):
+        normal_form(poly(2, (2, 0)), B)
+    with pytest.raises(InvalidMatrixError):
+        total_sw_truncated(B, 3)
 
 
 @pytest.mark.parametrize("dims", HILBERT_FAMILIES)
