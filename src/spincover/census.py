@@ -16,7 +16,6 @@ import json
 import os
 import random
 from dataclasses import dataclass, field, replace
-from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .closedform import (
@@ -33,6 +32,7 @@ from .model import (
     ReducedMatrix,
     elementary_component,
     identity_rows,
+    is_cyclic,
     is_valid,
     row_strings,
     validate,  # unused here, but bound so the benchmark tracer can wrap it
@@ -105,6 +105,21 @@ def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
     return ReducedMatrix(omega, rows)
 
 
+def counter_is_valid(omega: DimensionVector, counter: int) -> bool:
+    """Whether `counter` decodes into a valid matrix, judged without decoding:
+    a nonzero n_i-bit field v_ij is the arc i -> j, and the arcs must be
+    acyclic.  Block-row i's fields run up from its lowest bit, j descending."""
+    n, k = omega.n, omega.k
+    succ = [0] * k
+    for i, d in enumerate(omega):
+        fields = counter >> (n - omega.offset(i + 1)) * (k - 1)
+        for j in reversed([j for j in range(k) if j != i]):
+            if fields & ((1 << d) - 1):
+                succ[i] |= 1 << j
+            fields >>= d
+    return not is_cyclic(succ)
+
+
 def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, ...]]:
     """Rows of the valid matrices whose first block-row, as its part of the
     counter, lies in [start, stop); in counter order.  Block-row i holds the
@@ -142,6 +157,13 @@ def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, 
     yield from extend(0, [0] * k, start, stop)
 
 
+def Pool(processes: int):
+    """multiprocessing.Pool, imported only when a pool starts."""
+    from multiprocessing import Pool
+
+    return Pool(processes)
+
+
 def _walk_slice(args: tuple[DimensionVector, int, int]) -> list[tuple[int, ...]]:
     return list(_walk(*args))
 
@@ -177,6 +199,7 @@ def sample_valid(
 
     Draws are capped at 10000 per requested matrix, so a family with almost
     no valid members is refused with a `BudgetError` instead of spinning.
+    Each draw is judged on its counter, and only the kept ones are decoded.
     """
     nbits = omega.n * (omega.k - 1)
     rng = random.Random(seed)
@@ -186,6 +209,8 @@ def sample_valid(
         if found >= count:
             return
         c = rng.getrandbits(nbits) if nbits else 0
+        if not counter_is_valid(omega, c):
+            continue
         A = matrix_from_counter(omega, c)
         if is_valid(A):
             found += 1

@@ -7,7 +7,6 @@ Exit codes are a contract: 0 affirmative or clean, 1 negative verdict,
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ from .census import (
     verify_elementary,
     write_census_header,
 )
-from .closedform import CONJECTURE_READINGS, closed_coefficients, has_spin
+from .closedform import CONJECTURE_READINGS, closed_coefficients, has_spin, subset_dots
 from .digraph import (
     CyclicDigraphError,
     DigraphFormatError,
@@ -97,11 +96,8 @@ def _parse_omega(text: str) -> DimensionVector:
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        click.echo(json.dumps(obj, indent=2, sort_keys=True), file=sys.stdout)
-    else:
-        for line in lines:
-            click.echo(line, file=sys.stdout)
+    text = json.dumps(obj, indent=2, sort_keys=True) if as_json else "\n".join(lines)
+    click.echo(text, file=sys.stdout)
 
 
 @click.group()
@@ -117,11 +113,7 @@ def check(matrix_file: str, as_json: bool) -> None:
     """Validity, orientability and Spin verdict for a matrix file."""
     A = _load_matrix(matrix_file)
     report = has_spin(A)
-    k = A.omega.k
-    dots: dict[str, int] = {}
-    for size in range(1, min(3, k) + 1):
-        for S in itertools.combinations(range(k), size):
-            dots[",".join(str(i + 1) for i in S)] = A.k_count(S)
+    dots = {",".join(str(i + 1) for i in S): kS for S, kS in subset_dots(A, 3)}
     lines = [
         "valid: yes",
         f"orientable: {'yes' if report.orientable else 'no'}",

@@ -9,12 +9,13 @@ whole class whenever every simplex factor has dimension >= the degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .model import DimensionVector, ReducedMatrix, require_valid
-from .oracle import GradedPolynomial
+from .oracle import GradedPolynomial, monomials_of_degree
 
 MultiIndex = tuple[int, ...]
 
@@ -34,15 +35,21 @@ class CoeffTable:
         return self.entries[tuple(sorted(key))]
 
     def polynomial(self, k: int) -> GradedPolynomial:
-        terms = []
-        for key, bit in self.entries.items():
-            if not bit:
-                continue
-            e = [0] * k
-            for i in key:
-                e[i] += 1
-            terms.append(tuple(e))
-        return GradedPolynomial.from_terms(k, terms)
+        bits, mask = _key_bits(k, self.degree), 0
+        for key, coefficient in self.entries.items():
+            if coefficient:
+                mask |= bits[key]
+        return GradedPolynomial(k, {self.degree: mask})
+
+
+@functools.lru_cache(maxsize=None)
+def _key_bits(k: int, d: int) -> dict[MultiIndex, int]:
+    """Per sorted index key of degree d over k columns, the bit of its
+    monomial in a degree-d piece."""
+    return {
+        tuple(i for i, exp in enumerate(e) for _ in range(exp)): 1 << t
+        for t, e in enumerate(monomials_of_degree(k, d))
+    }
 
 
 @dataclass(frozen=True)
@@ -71,29 +78,25 @@ def binom_parity(n: int, r: int) -> int:
     return 1 if (r & ~n) == 0 else 0
 
 
-def _counts(A: ReducedMatrix):
-    k = A.omega.k
-    single = [A.k_count([i]) for i in range(k)]
-    pair = {
-        (i, j): A.k_count([i, j]) for i, j in itertools.combinations(range(k), 2)
-    }
-    return single, pair
-
-
-def _pair(pair: dict, i: int, j: int) -> int:
-    return pair[(i, j) if i < j else (j, i)]
+def subset_dots(A: ReducedMatrix, top: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(S, k_S) for every column subset S of size 1..top, by size and then
+    in lexicographic order; k_i and k_ij come from the table of A."""
+    single, pair = A.dots()
+    for size in range(1, min(top, A.omega.k) + 1):
+        for S in itertools.combinations(range(A.omega.k), size):
+            yield S, pair[S[0]][S[-1]] if size <= 2 else A.k_count(S)
 
 
 def w2_coefficients(A: ReducedMatrix) -> CoeffTable:
     """Pre-reduction w2: alpha_i on x_i^2 and beta_ij on x_i x_j."""
     require_valid(A)
     k = A.omega.k
-    single, pair = _counts(A)
+    single, pair = A.dots()
     entries: dict[MultiIndex, int] = {}
     for i in range(k):
         entries[(i, i)] = binom_parity(1 + single[i], 2)
     for i, j in itertools.combinations(range(k), 2):
-        entries[(i, j)] = ((1 + single[i]) * (1 + single[j]) + pair[(i, j)]) % 2
+        entries[(i, j)] = ((1 + single[i]) * (1 + single[j]) + pair[i][j]) % 2
     return CoeffTable(2, entries)
 
 
@@ -108,7 +111,7 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
     require_valid(A)
     k = A.omega.k
     dims = A.omega.dims
-    single, pair = _counts(A)
+    single, pair = A.dots()
     orientable = all(d % 2 == 1 for d in single)
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:
@@ -121,21 +124,21 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
         elif single[i] % 4 != 3:
             return report("i", (i,))
     for i, j in itertools.combinations(range(k), 2):
-        if dims[i] > 1 and dims[j] > 1 and pair[(i, j)] % 2 != 0:
+        if dims[i] > 1 and dims[j] > 1 and pair[i][j] % 2 != 0:
             return report("ii", (i, j))
     for i, j in itertools.combinations(range(k), 2):
         if dims[i] == 1 and dims[j] == 1:
             vij = A.block(i, j)
             vji = A.block(j, i)
             half = (vij * (single[i] + 1) + vji * (single[j] + 1)) // 2
-            if pair[(i, j)] % 2 != half % 2:
+            if pair[i][j] % 2 != half % 2:
                 return report("iii", (i, j))
     for i, j in itertools.combinations(range(k), 2):
         if (dims[i] == 1) != (dims[j] == 1):
             a, b = (i, j) if dims[i] == 1 else (j, i)
             vab = A.block(a, b)
             half = vab * (single[a] + 1) // 2
-            if _pair(pair, a, b) % 2 != half % 2:
+            if pair[a][b] % 2 != half % 2:
                 return report("iv", (a, b))
     return SpinReport(orientable, True)
 
@@ -146,9 +149,9 @@ def spin_sufficient(A: ReducedMatrix) -> bool:
     Always implies Spin; when no factor is an interval it is equivalent.
     """
     require_valid(A)
-    single, pair = _counts(A)
+    single, pair = A.dots()
     return all(d % 4 == 3 for d in single) and all(
-        p % 2 == 0 for p in pair.values()
+        p % 2 == 0 for i, row in enumerate(pair) for p in row[i + 1:]
     )
 
 
@@ -160,14 +163,14 @@ def w3_coefficients(A: ReducedMatrix) -> CoeffTable:
     """
     require_valid(A)
     k = A.omega.k
-    single, pair = _counts(A)
+    single, pair = A.dots()
     entries: dict[MultiIndex, int] = {}
     for i in range(k):
         entries[(i, i, i)] = binom_parity(single[i] + 1, 3)
     for i, j in itertools.permutations(range(k), 2):
         p = (
             binom_parity(single[i] + 1, 2) * (single[j] + 1)
-            + single[i] * pair[(i, j) if i < j else (j, i)]
+            + single[i] * pair[i][j]
         )
         entries[tuple(sorted((i, i, j)))] = p % 2
     for tri in itertools.combinations(range(k), 3):
@@ -175,8 +178,8 @@ def w3_coefficients(A: ReducedMatrix) -> CoeffTable:
         for p in tri:
             q *= single[p] + 1
         for p in tri:
-            rest = tuple(x for x in tri if x != p)
-            q += (single[p] + 1) * pair[rest]
+            a, b = (x for x in tri if x != p)
+            q += (single[p] + 1) * pair[a][b]
         entries[tri] = q % 2
     return CoeffTable(3, entries)
 
@@ -191,18 +194,18 @@ def w3_vanishes_big(A: ReducedMatrix) -> bool:
     if any(d < 3 for d in A.omega.dims):
         raise ValueError("every factor dimension must be at least 3")
     k = A.omega.k
-    single, pair = _counts(A)
+    single, pair = A.dots()
     for i in range(k):
         if single[i] % 4 == 2:
             return False
     for i, j in itertools.combinations(range(k), 2):
         if single[i] % 2 == 1 or single[j] % 2 == 1:
             pattern = sorted((single[i] % 4, single[j] % 4)) == [0, 1]
-            if (pair[(i, j)] % 2 == 1) != pattern:
+            if (pair[i][j] % 2 == 1) != pattern:
                 return False
     for tri in itertools.combinations(range(k), 3):
         if all(single[p] % 4 == 0 for p in tri):
-            s = sum(pair[pr] for pr in itertools.combinations(tri, 2))
+            s = sum(pair[a][b] for a, b in itertools.combinations(tri, 2))
             if s % 2 != 1:
                 return False
     return True
@@ -218,12 +221,12 @@ def w4_coefficients(A: ReducedMatrix) -> CoeffTable:
     """
     require_valid(A)
     k = A.omega.k
-    single, pair = _counts(A)
+    (single, pair), cols = A.dots(), A.columns()
     entries: dict[MultiIndex, int] = {}
     for i in range(k):
         entries[(i, i, i, i)] = binom_parity(single[i] + 1, 4)
     for i, j in itertools.permutations(range(k), 2):
-        kij = _pair(pair, i, j)
+        kij = pair[i][j]
         p1 = (
             binom_parity(single[i] + 1, 3) * (single[j] + 1)
             + binom_parity(single[i], 2) * kij
@@ -232,36 +235,37 @@ def w4_coefficients(A: ReducedMatrix) -> CoeffTable:
     for i, j in itertools.combinations(range(k), 2):
         p2 = (
             binom_parity(single[i] + 1, 2) * binom_parity(single[j] + 1, 2)
-            + single[i] * single[j] * pair[(i, j)]
-            + binom_parity(pair[(i, j)], 2)
+            + single[i] * single[j] * pair[i][j]
+            + binom_parity(pair[i][j], 2)
         )
         entries[(i, i, j, j)] = p2 % 2
     for sq in range(k):
         for i2, i3 in itertools.combinations(range(k), 2):
             if sq in (i2, i3):
                 continue
-            kt = A.k_count((sq, i2, i3))
+            kt = (cols[sq] & cols[i2] & cols[i3]).bit_count()
             q = binom_parity(single[sq] + 1, 2) * (
-                (single[i2] + 1) * (single[i3] + 1) + pair[(i2, i3)]
+                (single[i2] + 1) * (single[i3] + 1) + pair[i2][i3]
             )
             q += single[sq] * (
-                _pair(pair, sq, i2) * (single[i3] + 1)
-                + _pair(pair, sq, i3) * (single[i2] + 1)
+                pair[sq][i2] * (single[i3] + 1)
+                + pair[sq][i3] * (single[i2] + 1)
             )
-            q += _pair(pair, sq, i2) * _pair(pair, sq, i3) + kt
+            q += pair[sq][i2] * pair[sq][i3] + kt
             entries[tuple(sorted((sq, sq, i2, i3)))] = q % 2
     for quad in itertools.combinations(range(k), 4):
         r = 1
         for p in quad:
             r *= single[p] + 1
-        for p, q in itertools.combinations(quad, 2):
-            z, w = (x for x in quad if x not in (p, q))
-            r += (single[p] + 1) * (single[q] + 1) * pair[(z, w)]
         a, b, c, d = quad
+        # each pair p < q of the quadruple, with its complement z < w
+        for p, q, z, w in ((a, b, c, d), (a, c, b, d), (a, d, b, c),
+                           (b, c, a, d), (b, d, a, c), (c, d, a, b)):
+            r += (single[p] + 1) * (single[q] + 1) * pair[z][w]
         r += (
-            pair[(a, b)] * pair[(c, d)]
-            + pair[(a, c)] * pair[(b, d)]
-            + pair[(a, d)] * pair[(b, c)]
+            pair[a][b] * pair[c][d]
+            + pair[a][c] * pair[b][d]
+            + pair[a][d] * pair[b][c]
         )
         entries[quad] = r % 2
     return CoeffTable(4, entries)
@@ -274,9 +278,7 @@ def closed_coefficients(A: ReducedMatrix, m: int) -> CoeffTable:
     read off the counts directly, with no validation pass.
     """
     if m == 1:
-        return CoeffTable(
-            1, {(i,): (A.k_count([i]) + 1) % 2 for i in range(A.omega.k)}
-        )
+        return CoeffTable(1, {(i,): (d + 1) % 2 for i, d in enumerate(A.dots()[0])})
     if m == 2:
         return w2_coefficients(A)
     if m == 3:
@@ -327,7 +329,7 @@ def w4_vanishes_big(A: ReducedMatrix) -> bool:
     if any(d < 4 for d in A.omega.dims):
         raise ValueError("every factor dimension must be at least 4")
     k = A.omega.k
-    single, pair = _counts(A)
+    (single, pair), cols = A.dots(), A.columns()
     theta = [d % 8 for d in single]
     for i in range(k):
         if theta[i] not in (0, 1, 2, 7):
@@ -335,14 +337,15 @@ def w4_vanishes_big(A: ReducedMatrix) -> bool:
     for i, j in itertools.combinations(range(k), 2):
         key = tuple(sorted((theta[i], theta[j])))
         if 7 in key:
-            if pair[(i, j)] % 4 != 0:
+            if pair[i][j] % 4 != 0:
                 return False
         elif key in _W4_PAIR_TABLE:
-            if pair[(i, j)] % 4 not in _W4_PAIR_TABLE[key]:
+            if pair[i][j] % 4 not in _W4_PAIR_TABLE[key]:
                 return False
     for tri in itertools.combinations(range(k), 3):
         res = tuple(sorted(theta[p] for p in tri))
-        kt = A.k_count(tri)
+        a, b, c = tri
+        kt = (cols[a] & cols[b] & cols[c]).bit_count()
         if 7 in res:
             if kt % 2 != 0:
                 return False
@@ -351,7 +354,7 @@ def w4_vanishes_big(A: ReducedMatrix) -> bool:
             if want is None:
                 for p, q in itertools.combinations(tri, 2):
                     if sorted((theta[p], theta[q])) == [0, 1]:
-                        if kt % 2 != pair[(p, q)] % 2:
+                        if kt % 2 != pair[p][q] % 2:
                             return False
             elif kt % 2 != want:
                 return False
@@ -378,19 +381,16 @@ def conjecture_predicate(A: ReducedMatrix, t: int, reading: str) -> bool:
     require_valid(A)
     if any(d < 2**t for d in A.omega.dims):
         raise ValueError(f"every factor dimension must be at least {2**t}")
-    k = A.omega.k
     shift = 1 if reading == "shifted" else 0
-    for size in range(1, min(t + 1, k) + 1):
-        for S in itertools.combinations(range(k), size):
-            kS = A.k_count(S)
-            if size == 1:
-                mod = 2 ** (t + 1)
-                if kS % mod != mod - 1:
-                    return False
-            else:
-                e = t + 1 - size + shift
-                if e > 0 and kS % (2**e) != 0:
-                    return False
+    for S, kS in subset_dots(A, t + 1):
+        if len(S) == 1:
+            mod = 2 ** (t + 1)
+            if kS % mod != mod - 1:
+                return False
+        else:
+            e = t + 1 - len(S) + shift
+            if e > 0 and kS % (2**e) != 0:
+                return False
     return True
 
 

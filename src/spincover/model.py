@@ -93,10 +93,10 @@ class ValidityReport:
 
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
-    (r, c).  The column ints `_cols`, for counting products, and the verdict
+    (r, c).  The column ints `_cols`, the dot counts `_dots` and the verdict
     `_valid` of `is_valid` are computed on first use (None until then)."""
 
-    __slots__ = ("omega", "rows", "_cols", "_valid")
+    __slots__ = ("omega", "rows", "_cols", "_dots", "_valid")
 
     def __init__(self, omega: DimensionVector, rows: Sequence[int]):
         if len(rows) != omega.n:
@@ -109,6 +109,7 @@ class ReducedMatrix:
         self.omega = omega
         self.rows = tuple(rows)
         self._cols: Optional[tuple[int, ...]] = None
+        self._dots: Optional[tuple] = None
         self._valid: Optional[bool] = None
 
     @classmethod
@@ -137,7 +138,8 @@ class ReducedMatrix:
     def __repr__(self) -> str:
         return f"ReducedMatrix({serialize_matrix(self)!r})"
 
-    def _columns(self) -> tuple[int, ...]:
+    def columns(self) -> tuple[int, ...]:
+        """Column j as the int whose bit t is entry (t, j)."""
         if self._cols is None:
             self._cols = tuple(
                 sum(((r >> j) & 1) << t for t, r in enumerate(self.rows))
@@ -151,14 +153,23 @@ class ReducedMatrix:
         k = self.omega.k
         if not (0 <= i < k and 0 <= j < k):
             raise IndexError((i, j))
-        return (self._columns()[j] >> self.omega.offset(i)) & ((1 << self.omega[i]) - 1)
+        return (self.columns()[j] >> self.omega.offset(i)) & ((1 << self.omega[i]) - 1)
+
+    def dots(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The self-dots k_i, and the table whose entry i, j is k_ij (k_i on
+        the diagonal); built in one pass over the column ints and kept."""
+        if self._dots is None:
+            cols = self.columns()
+            pair = tuple(tuple((a & b).bit_count() for b in cols) for a in cols)
+            self._dots = tuple(row[i] for i, row in enumerate(pair)), pair
+        return self._dots
 
     def k_count(self, cols: Iterable[int]) -> int:
         """k_S: rows carrying 1 in every column of S, as a plain integer."""
         S = tuple(cols)
         if not S:
             raise ValueError("empty column set")
-        cols = self._columns()
+        cols = self.columns()
         acc = (1 << self.omega.n) - 1
         for c in S:
             acc &= cols[c]
@@ -199,7 +210,8 @@ def reach(succ: Sequence[int]) -> list[int]:
     return out
 
 
-def _is_cyclic(succ: Sequence[int]) -> bool:
+def is_cyclic(succ: Sequence[int]) -> bool:
+    """Whether the relation with bit j of succ[i] an arc i -> j has a cycle."""
     return any((r >> v) & 1 for v, r in enumerate(reach(succ)))
 
 
@@ -238,7 +250,7 @@ def is_valid(A: ReducedMatrix) -> bool:
     selection is unitriangular after relabeling.  The verdict is kept on A,
     so every later guard on the same matrix costs O(1)."""
     if A._valid is None:
-        A._valid = not _is_cyclic(block_successors(A))
+        A._valid = not is_cyclic(block_successors(A))
     return A._valid
 
 
@@ -264,7 +276,7 @@ def validate(A: ReducedMatrix) -> ValidityReport:
     for i, rows in enumerate(blocks):
         later = [_union(b) for b in blocks[i + 1:]]
         for li, succ in enumerate(rows):
-            if _is_cyclic(chosen + [succ] + later):
+            if is_cyclic(chosen + [succ] + later):
                 selection.append(li)
                 chosen.append(succ)
                 break
@@ -287,7 +299,7 @@ def validate(A: ReducedMatrix) -> ValidityReport:
         """The first cyclic extension of prefix to the girth's size, by
         vertices of allowed, in lexicographic order."""
         if len(prefix) == girth:
-            return prefix if _is_cyclic(_induced(chosen, prefix)) else None
+            return prefix if is_cyclic(_induced(chosen, prefix)) else None
         for v in range(prefix[-1] + 1 if prefix else 0, len(chosen)):
             if (allowed >> v) & 1:
                 found = first_cycle(prefix + [v], allowed & close[v])

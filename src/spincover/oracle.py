@@ -18,10 +18,10 @@ Two bounded caches let a family walk, whose last block-row varies fastest,
 reuse work across consecutive matrices.  Each is keyed on exactly the rows
 it reads, so a hit is the value a rebuild would give:
 
-- The ideal in degree d is sum_j x_j * I_{d-1} plus the g_i of degree d,
+- The ideal in degree d is spanned by the multiples x^mu * g_i of degree d,
   and g_i reads only block-row i.  So the echelon basis of I_d is a function
   of (omega, d, the rows of the blocks with n_i < d); it is cached on that
-  key and built from the basis of degree d - 1.
+  key and built from those multiples alone.
 - The expansion multiplies the identity rows and every block-row but the
   last into a prefix, cached on (k, maxdeg, those rows), and then only the
   rows of the last block.
@@ -73,18 +73,24 @@ def _times_x(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _times_var(image: tuple[int, ...], mask: int) -> int:
+    """A piece times x_j, where image = _times_x(k, d)[j]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= image[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _times_linear(k: int, d: int, row: int, mask: int) -> int:
     """The degree-d piece `mask` times the sum of x_j over the set bits of row."""
     # x_1 times monomial t of degree d is monomial t of degree d + 1.
     out = mask if row & 1 else 0
     tables = _times_x(k, d)
-    images = [tables[j] for j in range(1, k) if (row >> j) & 1]
-    while images and mask:
-        low = mask & -mask
-        t = low.bit_length() - 1
-        for image in images:
-            out ^= image[t]
-        mask ^= low
+    for j in range(1, k):
+        if (row >> j) & 1:
+            out ^= _times_var(tables[j], mask)
     return out
 
 
@@ -258,18 +264,22 @@ def _rows_read(omega: DimensionVector, d: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=32)
 def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> DegreeBasis:
     """Echelon basis of I_d for every matrix over omega whose rows
-    `_rows_read(omega, d)` are `low`."""
+    `_rows_read(omega, d)` are `low`: the span of the multiples x^mu * g_i
+    of degree d, each inserted once, as mu runs over the non-decreasing
+    index sequences."""
     k, basis = omega.k, DegreeBasis()
     row = dict(zip(_rows_read(omega, d), low))
-    if d > 1:
-        below = tuple(row[r] for r in _rows_read(omega, d - 1))
-        for vec in _degree_basis(omega, d - 1, below).rows.values():
-            for j in range(k):
-                basis._insert(_times_linear(k, d - 1, 1 << j, vec))
     for i, n in enumerate(omega):
-        if n + 1 == d:
+        if n < d:
             block = range(omega.offset(i), omega.offset(i + 1))
-            basis._insert(_generator(k, i, [row[r] for r in block]))
+            # (multiple, the least variable it may still be multiplied by)
+            layer = [(_generator(k, i, [row[r] for r in block]), 0)]
+            for deg in range(n + 1, d):
+                tables = _times_x(k, deg)
+                layer = [(_times_var(tables[j], m), j)
+                         for m, first in layer for j in range(first, k)]
+            for m, _ in layer:
+                basis._insert(m)
     return basis
 
 
@@ -280,7 +290,7 @@ def _basis(A: ReducedMatrix, d: int) -> DegreeBasis:
 
 
 def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
-    """Echelon basis of I_d = sum_j x_j * I_{d-1} + span{g_i : n_i + 1 = d}."""
+    """Echelon basis of I_d, the span of the multiples x^mu * g_i of degree d."""
     if d < 1:
         raise ValueError("degree must be positive")
     require_valid(A)

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from spincover import (
 )
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def load(name: str) -> ReducedMatrix:
@@ -105,6 +107,17 @@ def expand_tuples(k: int, rows: list[int], maxdeg: int) -> list[set[tuple[int, .
                     # GF(2): a repeated term cancels
                     bucket ^= {e[:j] + (e[j] + 1,) + e[j + 1:]}
     return pieces
+
+
+@functools.lru_cache(maxsize=None)
+def perfbench_common():
+    """perfbench/common.py, loaded by path: the benchmark's request stream,
+    its valid-by-construction matrices and its golden digests, none of which
+    import spincover."""
+    spec = importlib.util.spec_from_file_location("perfbench_common", PERFBENCH / "common.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def serialize_bitwise(A: ReducedMatrix) -> str:

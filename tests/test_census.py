@@ -242,6 +242,32 @@ def test_sampling_is_seeded_and_valid():
         assert validate(A).valid
 
 
+@pytest.mark.parametrize("dims", [(1, 2), (2, 2), (1, 1, 2)])
+def test_counter_verdict_matches_the_decoded_matrix(dims):
+    omega = DimensionVector(dims)
+    for counter in range(space_size(omega)):
+        decoded = matrix_from_counter(omega, counter)
+        assert census.counter_is_valid(omega, counter) == model.is_valid(decoded)
+
+
+def test_sampler_decodes_only_the_kept_draws(monkeypatch):
+    # A refusal decodes no draw: the 10,000 draws of 6,000 bits each over
+    # (3000, 3000) are all judged on their counters.
+    decoded = []
+    real = census.matrix_from_counter
+
+    def counting(omega, counter):
+        decoded.append(counter)
+        return real(omega, counter)
+
+    monkeypatch.setattr(census, "matrix_from_counter", counting)
+    with pytest.raises(BudgetError, match="only 0 of 1"):
+        list(sample_valid(dv(3000, 3000), 1))
+    assert decoded == []
+    kept = list(sample_valid(dv(2, 2), 6, seed=11))
+    assert len(decoded) == len(kept) == 6
+
+
 def test_census_header_and_record_lines(torus):
     buf = io.StringIO()
     write_census_header(buf, dv(1, 1), 1729, 2**24)
@@ -360,6 +386,32 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
     }
     assert len(built) == len(set(built)) == len(keys) == 319
     assert set(built) == keys
+
+
+def test_one_count_table_per_matrix(monkeypatch):
+    # has_spin and spin_sufficient read one dot-count table per matrix, with
+    # or without a record, and no count is recomputed through k_count
+    built, counted = [], []
+    real_dots, real_k_count = ReducedMatrix.dots, ReducedMatrix.k_count
+
+    def counting_dots(A):
+        if A._dots is None:
+            built.append(A)
+        return real_dots(A)
+
+    def counting_k_count(A, cols):
+        counted.append(A)
+        return real_k_count(A, cols)
+
+    monkeypatch.setattr(ReducedMatrix, "dots", counting_dots)
+    monkeypatch.setattr(ReducedMatrix, "k_count", counting_k_count)
+    records = []
+    report = crosscheck_spin(dv(1, 2, 2), sink=records.append)
+    assert len(built) == len(set(built)) == len(records) == report.total_valid == 157
+    built.clear()
+    report = crosscheck_spin(dv(1, 2, 2))
+    assert len(built) == len(set(built)) == report.total_valid == 157
+    assert counted == []
 
 
 def test_w_crosscheck_full():

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from spincover import GradedPolynomial, census, normal_form
 from spincover.cli import main
 
-from conftest import DATA
+from conftest import DATA, perfbench_common
 
 
 @pytest.fixture()
@@ -572,3 +572,28 @@ def test_conjecture_written_reading_flags_divergence(runner):
 def test_conjecture_level_guard(runner):
     result = runner.invoke(main, ["conjecture", "--omega", "2,2", "--t", "3"])
     assert result.exit_code == 2
+
+
+def test_query_stream_responses_match_the_golden_digest(tmp_path):
+    # The first requests of the benchmark's query stream, replayed in this
+    # process as the benchmark worker runs them (stdout only), hash to the
+    # digest the benchmark checks: every output byte of check, sw --both and
+    # convert on 2- to 7-factor shapes is pinned here too.
+    common = perfbench_common()
+    golden = common.GOLDEN["query-mix"]
+    stream = common.query_stream(golden["seed"])
+    path = tmp_path / "query.txt"
+    lines = []
+    for _ in range(golden["responses"]):
+        cmd, deg, dims, rows = next(stream)
+        path.write_text(common.matrix_text(dims, rows), encoding="utf-8")
+        argv = common.query_argv(cmd, deg, str(path))
+        out, code = io.StringIO(), 0
+        with contextlib.redirect_stdout(out):
+            try:
+                main(argv, standalone_mode=False)
+            except SystemExit as exc:
+                code = exc.code
+        assert common.check_query(cmd, dims, rows, code, out.getvalue())
+        lines.append(common.response_line(argv, code, out.getvalue()))
+    assert common.sha256_lines(lines) == golden["digest"]

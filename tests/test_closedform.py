@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,7 @@ from spincover import (
     w4_vanishes_big,
 )
 from spincover.closedform import closed_coefficients
-from conftest import dv, rp
+from conftest import dv, perfbench_common, rp
 
 
 def from_compact(dims, compact):
@@ -247,6 +248,25 @@ def test_closed_coefficients_cover_degrees_one_to_four(spin_235, klein):
     for m in (0, 5):
         with pytest.raises(ValueError):
             closed_coefficients(spin_235, m)
+
+
+def test_closed_forms_equal_the_raw_expansion_on_seeded_matrices():
+    # Pre-reduction tables against the product they describe, through the
+    # cached counts and the key-to-bit table, on shapes with factors below
+    # the degree too: 300 valid matrices over the benchmark's query shapes
+    # and (1,)^8.
+    common = perfbench_common()
+    shapes = [*common.QUERY_SHAPES, (1,) * 8]
+    rng = random.Random(31)
+    cases = 0
+    for t in range(300):
+        dims = shapes[t % len(shapes)]
+        A = ReducedMatrix(dv(*dims), common.random_valid_matrix(rng, dims))
+        for m in range(1, min(4, A.omega.n) + 1):
+            wm = total_sw_truncated(A, m).degree_part(m)
+            assert closed_coefficients(A, m).polynomial(A.omega.k) == wm, (A, m)
+            cases += 1
+    assert cases == 1200
 
 
 def test_closed_w1_needs_no_validation_pass():

@@ -110,6 +110,22 @@ def test_column_ints_are_built_on_first_use(spin_235):
     assert A._cols is not None
 
 
+def test_count_table_matches_k_count():
+    # on valid and invalid matrices alike: the table needs no validity
+    rng = random.Random(12)
+    for _ in range(300):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
+        omega = dv(*dims)
+        A = ReducedMatrix(omega, [rng.randrange(1 << omega.k) for _ in range(omega.n)])
+        assert A._dots is None
+        table = single, pair = A.dots()
+        assert A.dots() is table
+        for i in range(omega.k):
+            assert single[i] == pair[i][i] == A.k_count([i])
+            for j in range(omega.k):
+                assert pair[i][j] == A.k_count({i, j})
+
+
 def test_dimension_vector_rejects_bad_dims():
     with pytest.raises(ValueError):
         DimensionVector(())
