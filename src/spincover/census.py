@@ -5,7 +5,8 @@ block-rows ascending, then columns, then bits, with the first position most
 significant, so counting up walks the assignments in lexicographic order.
 Only the valid ones, those with an acyclic block relation, are walked.  Workers
 walk contiguous slices of the first block-row, spliced back in slice order, so
-the output is identical for any worker count.
+the output is identical for any worker count.  A run computes the oracle part
+of its census records once per row-order class (see `class_memo`).
 """
 
 from __future__ import annotations
@@ -194,17 +195,18 @@ def sample_valid(
     omega: DimensionVector,
     count: int,
     seed: int = DEFAULT_SEED,
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[ReducedMatrix]:
     """Seeded uniform draws from the candidate space, keeping `count` valid ones.
 
-    Draws are capped at 10000 per requested matrix, so a family with almost
-    no valid members is refused with a `BudgetError` instead of spinning.
+    Draws are capped at 10000 per requested matrix and at `budget`, so a
+    family with almost no valid members is refused with a `BudgetError`.
     Each draw is judged on its counter, and only the kept ones are decoded.
     """
     nbits = omega.n * (omega.k - 1)
     rng = random.Random(seed)
     found = 0
-    draws = max(count, 1) * 10000
+    draws = min(max(count, 1) * 10000, max(budget, 0))
     for _ in range(draws):
         if found >= count:
             return
@@ -282,22 +284,58 @@ def write_census_header(
     fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def build_record(A: ReducedMatrix, flags: list[str]) -> CensusRecord:
-    """The record of A, its oracle classes w_1..w_top read off one reduced
-    expansion of the total class (top = min(4, n))."""
+OracleFields = Callable[[ReducedMatrix], tuple[bool, dict[int, str]]]
+
+
+def oracle_fields(A: ReducedMatrix) -> tuple[bool, dict[int, str]]:
+    """The oracle's Spin verdict on A and its w_1..w_top digests, read off
+    one reduced expansion of the total class (top = min(4, n))."""
     top = min(4, A.omega.n)
     reduced = normal_form(total_sw_truncated(A, top), A)
+    digests = {m: polynomial_str(reduced.degree_part(m)) for m in range(1, top + 1)}
+    return 1 not in reduced.pieces and 2 not in reduced.pieces, digests
+
+
+def class_memo(omega: DimensionVector, size: int = 256) -> OracleFields:
+    """oracle_fields over omega for one run, computed once per row-order class.
+
+    Permuting the rows of block i relabels the facets of its simplex, and
+    g_i and the total class are products over those rows in a commutative
+    ring; so over one omega, which fixes top, the key is the rows sorted
+    within each block.  The `size` most recently used classes are kept.
+    """
+    blocks = [(omega.offset(i), omega.offset(i + 1)) for i, d in enumerate(omega) if d > 1]
+    memo: dict[tuple[int, ...], tuple[bool, dict[int, str]]] = {}  # oldest use first
+
+    def fields(A: ReducedMatrix) -> tuple[bool, dict[int, str]]:
+        rows = list(A.rows)
+        for a, b in blocks:
+            rows[a:b] = sorted(rows[a:b])
+        key = tuple(rows)
+        value = memo.pop(key, None) or oracle_fields(A)
+        if len(memo) >= size:
+            del memo[next(iter(memo))]
+        memo[key] = value
+        return value
+
+    return fields
+
+
+def build_record(
+    A: ReducedMatrix, flags: list[str], oracle: OracleFields = oracle_fields
+) -> CensusRecord:
+    """The record of A.  Its deciders run on A; its oracle fields come from
+    `oracle`: A's own expansion by default, a run's `class_memo` in a census."""
     spin = has_spin(A)
+    spin_oracle, digests = oracle(A)
     return CensusRecord(
         omega=A.omega.dims,
         matrix=compact_matrix(A),
         orientable=spin.orientable,
         spin_closed=spin.spin,
         spin_digraph=has_spin_digraph(from_matrix(A)).spin,
-        spin_oracle=1 not in reduced.pieces and 2 not in reduced.pieces,
-        w_digests={
-            m: polynomial_str(reduced.degree_part(m)) for m in range(1, top + 1)
-        },
+        spin_oracle=spin_oracle,
+        w_digests=dict(digests),  # the memo shares one dict per class
         flags=tuple(flags),
     )
 
@@ -316,22 +354,24 @@ def _run(
 
     The check returns the discrepancy flags of one matrix and may bump the
     report's counts.  A census record is built only for a sink or a flagged
-    matrix; for a sink it is built first and handed to the check.
+    matrix; for a sink it is built first and handed to the check.  Records
+    take their oracle fields from a `class_memo` that lives for this run only.
     """
     if sample is None:
         check_budget(omega, budget)
         matrices = enumerate_valid(omega, budget=budget, threads=threads)
         total = space_size(omega)
     else:
-        matrices = sample_valid(omega, sample, seed=seed)
+        matrices = sample_valid(omega, sample, seed=seed, budget=budget)
         total = sample
     report = DiscrepancyReport(omega.dims, total, 0, counts)
+    oracle = class_memo(omega)
     for A in matrices:
         report.total_valid += 1
-        rec = None if sink is None else build_record(A, [])
+        rec = None if sink is None else build_record(A, [], oracle)
         flags = check(A, report, rec)
         if flags:
-            rec = build_record(A, flags) if rec is None else replace(rec, flags=tuple(flags))
+            rec = build_record(A, flags, oracle) if rec is None else replace(rec, flags=tuple(flags))
             report.discrepancies.append(rec)
         if sink is not None:
             sink(rec)

@@ -171,12 +171,12 @@ def sw(
     closed_poly = oracle_poly = None
     if want_closed:
         closed_poly = closed_coefficients(A, degree).polynomial(A.omega.k)
-        lines.append(f"closed w{degree}: {polynomial_str(closed_poly)}")
         obj["closed"] = polynomial_str(closed_poly)
+        lines.append(f"closed w{degree}: {obj['closed']}")
     if want_oracle:
         oracle_poly = sw_oracle(A, degree)
-        lines.append(f"oracle w{degree}: {polynomial_str(oracle_poly)}")
         obj["oracle"] = polynomial_str(oracle_poly)
+        lines.append(f"oracle w{degree}: {obj['oracle']}")
     code = EXIT_OK
     if use_both:
         pre = all(d >= degree for d in A.omega.dims)

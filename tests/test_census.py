@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -29,12 +30,15 @@ from spincover import (
 from spincover.census import (
     bit_layout,
     build_record,
+    class_memo,
     compact_matrix,
+    oracle_fields,
     write_census_header,
 )
 from spincover import census, model, oracle
+from spincover import from_matrix, has_spin_digraph, normal_form, total_sw_truncated
 from spincover.cli import main
-from conftest import count_valid, dv, filter_valid
+from conftest import count_valid, dv, filter_valid, perfbench_common
 
 
 
@@ -306,9 +310,9 @@ def test_records_built_only_for_a_sink_or_a_flag(monkeypatch):
     built = []
     real = census.build_record
 
-    def counting(A, flags):
+    def counting(A, flags, *oracle):
         built.append(tuple(flags))
-        return real(A, flags)
+        return real(A, flags, *oracle)
 
     monkeypatch.setattr(census, "build_record", counting)
     crosscheck_spin(dv(1, 2, 2))
@@ -319,6 +323,14 @@ def test_records_built_only_for_a_sink_or_a_flag(monkeypatch):
     records = []
     crosscheck_spin(dv(1, 1), sink=records.append)
     assert len(built) == 8 + 3 and len(records) == 3
+
+
+def row_class(A):
+    """The rows of A sorted within each block."""
+    omega = A.omega
+    return tuple(
+        tuple(sorted(A.rows[omega.offset(i):omega.offset(i + 1)])) for i in range(omega.k)
+    )
 
 
 def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
@@ -337,11 +349,13 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
     report = crosscheck_w(dv(3, 3), 3)
     assert len(expanded) == len(set(expanded)) == report.total_valid == 15
 
-    # With a sink, the Spin cross-check reads its verdicts off the record:
-    # one expansion, one closed-form decider and one digraph per record.  The
-    # ideal basis of degree d reads only the rows of the blocks with n_i < d,
-    # and consecutive matrices of the walk share them, so each basis is built
-    # once per (degree, rows read) key, not once per matrix.
+    # With a sink, the Spin cross-check reads its verdicts off the record.
+    # The closed-form decider and the digraph run on every record, but the
+    # oracle fields depend only on the rows sorted within each block, so the
+    # run's memo expands one member per class.  The ideal basis of degree d
+    # reads only the rows of the blocks with n_i < d, and consecutive matrices
+    # of the walk share them, so each basis is built once per (degree, rows
+    # read) key, not once per matrix.
     expanded.clear()
     decided, digraphs, built = [], [], []
     real_has_spin, real_from_matrix = census.has_spin, census.from_matrix
@@ -370,10 +384,12 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
     records = []
     report = crosscheck_spin(omega, sink=records.append)
     assert len(records) == report.total_valid == 157
-    assert len(set(expanded)) == len(expanded) == len(records)
-    assert decided == digraphs == expanded
+    assert decided == digraphs == list(enumerate_valid(omega))
+
+    assert len(expanded) == len({row_class(A) for A in expanded}) == 80
+    assert {row_class(A) for A in expanded} == {row_class(A) for A in decided}
     # build_record reduces degrees 1..4: no key is built twice, and the
-    # bases built are the distinct keys of the walk
+    # bases built are the distinct keys of the expanded members
     keys = {
         (d, tuple(
             r
@@ -384,8 +400,60 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
         for A in expanded
         for d in range(1, 5)
     }
-    assert len(built) == len(set(built)) == len(keys) == 319
+    assert len(built) == len(set(built)) == len(keys) == 165
     assert set(built) == keys
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 2), (2, 3), (1, 2, 2), (3, 3), (2, 2, 2), (1, 2, 4)])
+def test_memoized_records_equal_records_built_with_no_memo(dims):
+    # The census takes the oracle fields from one member per row-order
+    # class; each record must still be the one its own matrix gives alone.
+    omega = dv(*dims)
+    records = []
+    crosscheck_spin(omega, sink=records.append)
+    assert records == [build_record(A, []) for A in enumerate_valid(omega)]
+
+
+def test_a_small_memo_evicts_and_recomputes_in_any_order(monkeypatch):
+    computed = []
+    monkeypatch.setattr(census, "oracle_fields", lambda A: computed.append(A) or oracle_fields(A))
+    walk = list(enumerate_valid(dv(1, 2, 4)))
+    random.Random(5).shuffle(walk)
+    order = walk[:300] + walk[:300]
+    fields = class_memo(dv(1, 2, 4), size=3)
+    for A in order:
+        assert fields(A) == oracle_fields(A)
+    # a miss is a class not among the three most recently used ones
+    misses, recent = 0, []
+    for A in order:
+        key = row_class(A)
+        misses += key not in recent
+        recent = [c for c in recent if c != key][-2:] + [key]
+    assert len(computed) == misses > 300
+
+
+def test_permuting_rows_within_blocks_keeps_the_classes_and_verdicts():
+    # Reordering the rows of block i relabels the facets of its simplex: the
+    # reduced total class and both Spin verdicts must not move.  300 seeded
+    # valid matrices over the benchmark's query shapes, each with its blocks
+    # shuffled and sorted.
+    common = perfbench_common()
+    rng = random.Random(13)
+    for t in range(300):
+        dims = common.QUERY_SHAPES[t % len(common.QUERY_SHAPES)]
+        omega = dv(*dims)
+        A = ReducedMatrix(omega, common.random_valid_matrix(rng, dims))
+        blocks = [list(A.rows[omega.offset(i):omega.offset(i + 1)]) for i in range(omega.k)]
+        for block in blocks:
+            rng.shuffle(block)
+        shuffled = ReducedMatrix(omega, [r for block in blocks for r in block])
+        ordered = ReducedMatrix(omega, [r for block in blocks for r in sorted(block)])
+        top = min(4, omega.n)
+        want = normal_form(total_sw_truncated(A, top), A)
+        spin, dig = has_spin(A), has_spin_digraph(from_matrix(A)).spin
+        for B in (shuffled, ordered):
+            assert normal_form(total_sw_truncated(B, top), B) == want, (A, B)
+            assert has_spin(B) == spin and has_spin_digraph(from_matrix(B)).spin == dig
 
 
 def test_one_count_table_per_matrix(monkeypatch):

@@ -491,6 +491,16 @@ def test_unfillable_sample_is_a_refusal(runner, tmp_path):
     assert not out.exists()
 
 
+def test_sample_draws_stop_at_the_budget(runner):
+    # --budget caps the draws below the 10,000 per requested matrix
+    result = runner.invoke(
+        main,
+        ["verify", "--omega", "3,3,3,3,3", "--check", "w3", "--sample", "10", "--budget", "5000"],
+    )
+    assert result.exit_code == 3
+    assert result.stderr == "only 0 of 10 requested valid samples found in 5000 draws\n"
+
+
 def test_w3_digraph_disagreement_is_flagged(runner, monkeypatch):
     real = census.w3_vanishes_digraph
     monkeypatch.setattr(census, "w3_vanishes_digraph", lambda G: not real(G))

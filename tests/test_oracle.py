@@ -144,6 +144,22 @@ def test_bitmask_expansion_matches_the_tuple_reference():
         )
 
 
+def test_expansion_over_a_shuffled_last_block_matches_the_tuple_reference():
+    # The prefix times the last block's rows in any order is the product of
+    # all rows: a census may expand one member of each row-order class.
+    rng = random.Random(21)
+    for _ in range(300):
+        k, maxdeg = rng.randint(1, 6), rng.randint(0, 6)
+        rows = [rng.randrange(1 << k) for _ in range(rng.randint(0, 8))]
+        cut = rng.randint(0, len(rows))
+        last = rows[cut:]
+        rng.shuffle(last)
+        got = oracle._expand(k, last, maxdeg, oracle._expand(k, rows[:cut], maxdeg))
+        assert [decode(k, d, mask) for d, mask in enumerate(got)] == expand_tuples(
+            k, rows, maxdeg
+        )
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 2), (2, 3)])
 def test_total_class_and_generators_match_the_tuple_reference(dims):
     omega = dv(*dims)
