@@ -296,27 +296,25 @@ def oracle_fields(A: ReducedMatrix) -> tuple[bool, dict[int, str]]:
     return 1 not in reduced.pieces and 2 not in reduced.pieces, digests
 
 
-def class_memo(omega: DimensionVector, size: int = 256) -> OracleFields:
+def class_memo(omega: DimensionVector) -> OracleFields:
     """oracle_fields over omega for one run, computed once per row-order class.
 
     Permuting the rows of block i relabels the facets of its simplex, and
     g_i and the total class are products over those rows in a commutative
     ring; so over one omega, which fixes top, the key is the rows sorted
-    within each block.  The `size` most recently used classes are kept.
+    within each block, and the fields are those of that sorted member (A
+    itself when its rows are sorted).  The 256 most recently used classes
+    are kept.
     """
     blocks = [(omega.offset(i), omega.offset(i + 1)) for i, d in enumerate(omega) if d > 1]
-    memo: dict[tuple[int, ...], tuple[bool, dict[int, str]]] = {}  # oldest use first
+    cached = functools.lru_cache(maxsize=256)(oracle_fields)
 
     def fields(A: ReducedMatrix) -> tuple[bool, dict[int, str]]:
         rows = list(A.rows)
         for a, b in blocks:
             rows[a:b] = sorted(rows[a:b])
         key = tuple(rows)
-        value = memo.pop(key, None) or oracle_fields(A)
-        if len(memo) >= size:
-            del memo[next(iter(memo))]
-        memo[key] = value
-        return value
+        return cached(A if key == A.rows else ReducedMatrix(omega, key))
 
     return fields
 

@@ -414,22 +414,27 @@ def test_memoized_records_equal_records_built_with_no_memo(dims):
     assert records == [build_record(A, []) for A in enumerate_valid(omega)]
 
 
-def test_a_small_memo_evicts_and_recomputes_in_any_order(monkeypatch):
+def test_the_memo_evicts_and_recomputes_in_any_order(monkeypatch):
+    # (3,3,3) has 373 row-order classes, more than the memo keeps; a shuffled
+    # walk must recompute exactly the misses of an LRU of 256 classes, each on
+    # the class's sorted member, and give every matrix its own fields.
     computed = []
     monkeypatch.setattr(census, "oracle_fields", lambda A: computed.append(A) or oracle_fields(A))
-    walk = list(enumerate_valid(dv(1, 2, 4)))
+    omega = dv(3, 3, 3)
+    walk = list(enumerate_valid(omega))
     random.Random(5).shuffle(walk)
-    order = walk[:300] + walk[:300]
-    fields = class_memo(dv(1, 2, 4), size=3)
-    for A in order:
+    fields = class_memo(omega)
+    for A in walk:
         assert fields(A) == oracle_fields(A)
-    # a miss is a class not among the three most recently used ones
-    misses, recent = 0, []
-    for A in order:
+    misses, recent = [], []
+    for A in walk:
         key = row_class(A)
-        misses += key not in recent
-        recent = [c for c in recent if c != key][-2:] + [key]
-    assert len(computed) == misses > 300
+        if key not in recent:
+            misses.append(key)
+        recent = [c for c in recent if c != key][-255:] + [key]
+    assert len({row_class(A) for A in walk}) == 373
+    assert [row_class(A) for A in computed] == misses and len(misses) > 373
+    assert all(A.rows == sum(row_class(A), ()) for A in computed)
 
 
 def test_permuting_rows_within_blocks_keeps_the_classes_and_verdicts():
