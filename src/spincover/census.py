@@ -188,7 +188,10 @@ def enumerate_valid(
         jobs = [(omega, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with Pool(processes=len(jobs)) as pool:
             found = itertools.chain.from_iterable(pool.map(_walk_slice, jobs))
-    yield from filter(is_valid, (ReducedMatrix(omega, rows) for rows in found))
+    for A in (ReducedMatrix(omega, rows) for rows in found):
+        if not is_valid(A):
+            raise RuntimeError(f"the walk yielded an invalid matrix, rows {compact_matrix(A)}")
+        yield A
 
 
 def sample_valid(
@@ -228,6 +231,9 @@ def compact_matrix(A: ReducedMatrix) -> str:
     return "/".join(row_strings(A))
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class CensusRecord:
     omega: tuple[int, ...]
@@ -250,7 +256,7 @@ class CensusRecord:
             "spin_oracle": self.spin_oracle,
             "w": {str(m): d for m, d in sorted(self.w_digests.items())},
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return _encode(obj)
 
 
 @dataclass
@@ -281,7 +287,7 @@ def write_census_header(
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
     }
-    fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.write(_encode(header) + "\n")
 
 
 OracleFields = Callable[[ReducedMatrix], tuple[bool, dict[int, str]]]
@@ -302,19 +308,17 @@ def class_memo(omega: DimensionVector) -> OracleFields:
     Permuting the rows of block i relabels the facets of its simplex, and
     g_i and the total class are products over those rows in a commutative
     ring; so over one omega, which fixes top, the key is the rows sorted
-    within each block, and the fields are those of that sorted member (A
-    itself when its rows are sorted).  The 256 most recently used classes
-    are kept.
+    within each block, and the fields are those of that sorted member, built
+    on a miss.  The 256 most recently used classes are kept.
     """
     blocks = [(omega.offset(i), omega.offset(i + 1)) for i, d in enumerate(omega) if d > 1]
-    cached = functools.lru_cache(maxsize=256)(oracle_fields)
+    cached = functools.lru_cache(maxsize=256)(lambda key: oracle_fields(ReducedMatrix(omega, key)))
 
     def fields(A: ReducedMatrix) -> tuple[bool, dict[int, str]]:
         rows = list(A.rows)
         for a, b in blocks:
             rows[a:b] = sorted(rows[a:b])
-        key = tuple(rows)
-        return cached(A if key == A.rows else ReducedMatrix(omega, key))
+        return cached(tuple(rows))
 
     return fields
 

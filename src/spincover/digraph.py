@@ -99,16 +99,16 @@ class WeightedDigraph:
 
 
 def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
-    """Digraph with adjacency matrix A - I_omega."""
+    """Digraph with adjacency matrix A - I_omega, read off A's columns."""
     require_valid(A)
-    k = A.omega.k
-    edges = {
-        (i, j): A.block(i, j)
-        for i, succ in enumerate(block_successors(A))
-        for j in range(k)
-        if (succ >> j) & 1
-    }
-    return WeightedDigraph(A.omega, edges)
+    omega, cols = A.omega, A.columns()
+    edges = {}
+    for i, succ in enumerate(block_successors(A)):
+        off, mask = omega.offset(i), (1 << omega[i]) - 1
+        for j in range(omega.k):
+            if (succ >> j) & 1:
+                edges[(i, j)] = (cols[j] >> off) & mask
+    return WeightedDigraph(omega, edges)
 
 
 def to_matrix(G: WeightedDigraph) -> ReducedMatrix:
@@ -149,7 +149,9 @@ def has_spin_digraph(G: WeightedDigraph) -> SpinReport:
     order with the first failure reported.
     """
     k = G.omega.k
-    indeg = [weighted_in_degree(G, v) for v in range(k)]
+    indeg = [0] * k
+    for (_, j), w in G.edges.items():
+        indeg[j] += w.bit_count()
     orientable = all((indeg[v] + G.omega[v]) % 2 == 1 for v in range(k))
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:

@@ -93,10 +93,12 @@ class ValidityReport:
 
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
-    (r, c).  The column ints `_cols`, the dot counts `_dots` and the verdict
-    `_valid` of `is_valid` are computed on first use (None until then)."""
+    (r, c).  The column ints `_cols`, the dot counts `_dots`, the block
+    successor masks `_succ` of `block_successors` and the verdict `_valid`
+    of `is_valid` are computed on first use (None until then) and shared by
+    every later reader."""
 
-    __slots__ = ("omega", "rows", "_cols", "_dots", "_valid")
+    __slots__ = ("omega", "rows", "_cols", "_dots", "_succ", "_valid")
 
     def __init__(self, omega: DimensionVector, rows: Sequence[int]):
         if len(rows) != omega.n:
@@ -110,6 +112,7 @@ class ReducedMatrix:
         self.rows = tuple(rows)
         self._cols: Optional[tuple[int, ...]] = None
         self._dots: Optional[tuple] = None
+        self._succ: Optional[tuple[int, ...]] = None
         self._valid: Optional[bool] = None
 
     @classmethod
@@ -139,12 +142,15 @@ class ReducedMatrix:
         return f"ReducedMatrix({serialize_matrix(self)!r})"
 
     def columns(self) -> tuple[int, ...]:
-        """Column j as the int whose bit t is entry (t, j)."""
+        """Column j as the int whose bit t is entry (t, j), scattered row by row."""
         if self._cols is None:
-            self._cols = tuple(
-                sum(((r >> j) & 1) << t for t, r in enumerate(self.rows))
-                for j in range(self.omega.k)
-            )
+            cols = [0] * self.omega.k
+            for t, r in enumerate(self.rows):
+                while r:
+                    low = r & -r
+                    cols[low.bit_length() - 1] |= 1 << t
+                    r ^= low
+            self._cols = tuple(cols)
         return self._cols
 
     def block(self, i: int, j: int) -> int:
@@ -240,8 +246,11 @@ def _induced(succ: Sequence[int], subset: Iterable[int]) -> list[int]:
 
 def block_successors(A: ReducedMatrix) -> list[int]:
     """Per vertex i, the mask of the j with i -> j: v_ij != 0 (i != j), and
-    a loop i -> i when v_ii is not all ones."""
-    return [_union(rows) for rows in _successors(A)]
+    a loop i -> i when v_ii is not all ones.  The masks are kept on A; each
+    call returns a fresh list of them."""
+    if A._succ is None:
+        A._succ = tuple(_union(rows) for rows in _successors(A))
+    return list(A._succ)
 
 
 def is_valid(A: ReducedMatrix) -> bool:
@@ -312,14 +321,17 @@ def validate(A: ReducedMatrix) -> ValidityReport:
 
 
 def require_valid(A: ReducedMatrix) -> None:
+    """Raise `InvalidMatrixError` unless A is valid, reading the verdict kept
+    by `is_valid`; `validate` searches for the witness only on a failure."""
+    if is_valid(A):
+        return
     report = validate(A)
-    if not report.valid:
-        sel = tuple(x + 1 for x in report.failing_selection)
-        sub = tuple(sorted(x + 1 for x in report.failing_subset))
-        raise InvalidMatrixError(
-            f"not a characteristic matrix; principal minor vanishes "
-            f"at row selection {sel}, column subset {sub}"
-        )
+    sel = tuple(x + 1 for x in report.failing_selection)
+    sub = tuple(sorted(x + 1 for x in report.failing_subset))
+    raise InvalidMatrixError(
+        f"not a characteristic matrix; principal minor vanishes "
+        f"at row selection {sel}, column subset {sub}"
+    )
 
 
 def identity_rows(omega: DimensionVector) -> list[int]:

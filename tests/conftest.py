@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,36 @@ def perfbench_common():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_matrices() -> tuple[ReducedMatrix, ...]:
+    """300 seeded matrices over the benchmark's query shapes, valid and
+    arbitrary (mostly invalid) in turn, then ten each over the one-factor
+    shapes (1,) and (3,) and over (1,)^8: the inputs on which a matrix's
+    derived structure is compared against its definition."""
+    common = perfbench_common()
+    rng = random.Random(14)
+    shapes = [common.QUERY_SHAPES[t % len(common.QUERY_SHAPES)] for t in range(300)]
+    shapes += [dims for dims in ((1,), (3,), (1,) * 8) for _ in range(10)]
+    out = []
+    for t, dims in enumerate(shapes):
+        if t % 2:
+            rows = [rng.getrandbits(len(dims)) for _ in range(sum(dims))]
+        else:
+            rows = common.random_valid_matrix(rng, dims)
+        out.append(ReducedMatrix(DimensionVector(dims), rows))
+    return tuple(out)
+
+
+def columns_bitwise(A: ReducedMatrix) -> tuple[int, ...]:
+    """Column j as the int whose bit t is entry (t, j), one entry at a time:
+    the definitional generator that `ReducedMatrix.columns` is compared
+    against."""
+    return tuple(
+        sum(((r >> j) & 1) << t for t, r in enumerate(A.rows))
+        for j in range(A.omega.k)
+    )
 
 
 def serialize_bitwise(A: ReducedMatrix) -> str:

@@ -191,6 +191,14 @@ def test_walk_matches_the_filter(monkeypatch, dims, threads):
     assert len(verdicts) == len(walked) and all(verdicts)
 
 
+def test_the_walk_guard_refuses_an_invalid_matrix(monkeypatch):
+    # A walk that ever yields a cyclic matrix is a bug in the walk: the guard
+    # names the rows instead of dropping the matrix from the count.
+    monkeypatch.setattr(census, "_walk", lambda omega, start, stop: iter([(0b11, 0b11)]))
+    with pytest.raises(RuntimeError, match="rows 11/11$"):
+        list(enumerate_valid(dv(1, 1)))
+
+
 def test_pooled_slices_splice_into_the_serial_walk(monkeypatch):
     jobs = []
 
@@ -402,6 +410,36 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
     }
     assert len(built) == len(set(built)) == len(keys) == 165
     assert set(built) == keys
+
+
+def test_one_block_relation_per_record_and_no_witness_search(monkeypatch):
+    # Each record's matrix derives its successor masks once, in the walk
+    # guard; require_valid and from_matrix read them back, and the witness
+    # search of validate runs only to name the minor of an invalid matrix.
+    # The memo's sorted members, built on a miss, derive their own.
+    derived, searched, decided, digraphs = [], [], [], []
+    real_successors, real_validate = model._successors, model.validate
+    real_has_spin, real_from_matrix = census.has_spin, census.from_matrix
+    monkeypatch.setattr(model, "_successors", lambda A: derived.append(A) or real_successors(A))
+    monkeypatch.setattr(model, "validate", lambda A: searched.append(A) or real_validate(A))
+    monkeypatch.setattr(census, "has_spin", lambda A: decided.append(A) or real_has_spin(A))
+    monkeypatch.setattr(
+        census, "from_matrix", lambda A: digraphs.append(A) or real_from_matrix(A)
+    )
+    records = []
+    report = crosscheck_spin(dv(1, 2, 2), sink=records.append)
+    assert len(records) == report.total_valid == len(decided) == len(digraphs) == 157
+    assert [id(A) for A in decided] == [id(A) for A in digraphs]
+    ids = {id(A) for A in decided}
+    own = [id(A) for A in derived if id(A) in ids]
+    assert len(own) == len(set(own)) == 157
+    members = [A for A in derived if id(A) not in ids]
+    assert len(members) == len({row_class(A) for A in members}) == 80
+    assert searched == []
+    witness = r"at row selection \(1, 1\), column subset \(1, 2\)$"
+    with pytest.raises(model.InvalidMatrixError, match=witness):
+        model.require_valid(ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]]))
+    assert len(searched) == 1
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 2), (2, 3), (1, 2, 2), (3, 3), (2, 2, 2), (1, 2, 4)])

@@ -6,6 +6,7 @@ import pytest
 from spincover import (
     CyclicDigraphError,
     DigraphFormatError,
+    InvalidMatrixError,
     WeightedDigraph,
     common_source_sum,
     conjugate_by_permutation,
@@ -14,6 +15,7 @@ from spincover import (
     has_spin,
     has_spin_digraph,
     identity_matrix,
+    is_valid,
     parse_digraph,
     serialize_digraph,
     to_matrix,
@@ -21,7 +23,7 @@ from spincover import (
     w3_vanishes_digraph,
     weighted_in_degree,
 )
-from conftest import DATA, dv
+from conftest import DATA, dv, seeded_matrices
 
 
 
@@ -61,6 +63,46 @@ def test_roundtrip_everywhere():
     for dims in [(1, 1, 1), (1, 2, 2)]:
         for A in enumerate_valid(dv(*dims)):
             assert to_matrix(from_matrix(A)) == A
+
+
+def test_from_matrix_reads_every_nonzero_block_and_inverts_to_matrix():
+    # from_matrix reads the weights off the kept successor masks and columns;
+    # against A.block over every off-diagonal block, and a refusal for every
+    # invalid matrix.
+    for A in seeded_matrices():
+        k = A.omega.k
+        if not is_valid(A):
+            with pytest.raises(InvalidMatrixError):
+                from_matrix(A)
+            continue
+        G = from_matrix(A)
+        assert G.edges == {
+            (i, j): A.block(i, j)
+            for i in range(k)
+            for j in range(k)
+            if i != j and A.block(i, j)
+        }
+        assert to_matrix(G) == A
+
+
+def test_spin_digraph_reads_the_weighted_in_degrees():
+    # has_spin_digraph sums the in-degrees in one pass over the edges; its
+    # orientability and its condition-i verdict must be those of
+    # weighted_in_degree at every vertex.
+    for A in filter(is_valid, seeded_matrices()):
+        G, omega = from_matrix(A), A.omega
+        indeg = [weighted_in_degree(G, v) for v in range(omega.k)]
+        report = has_spin_digraph(G)
+        assert report.orientable == all((d + n) % 2 == 1 for d, n in zip(indeg, omega))
+        failing = [
+            v
+            for v, (d, n) in enumerate(zip(indeg, omega))
+            if (d % 2 if n == 1 else d % 4 != (3 - n) % 4)
+        ]
+        if failing:
+            assert (report.failed_condition, report.witness) == ("i", (failing[0],))
+        else:
+            assert report.failed_condition != "i"
 
 
 def test_weighted_in_degree(tower_2333):

@@ -27,10 +27,12 @@ from spincover import (
 from spincover.model import block_successors, reach, require_valid
 from spincover.census import compact_matrix
 from conftest import (
+    columns_bitwise,
     det_rows,
     dv,
     principal_minors_all_one,
     reaches_itself,
+    seeded_matrices,
     serialize_bitwise,
 )
 
@@ -192,6 +194,35 @@ def test_block_successors_read_blocks_and_diagonals():
     A = ReducedMatrix.from_rows((1, 2), [[1, 1], [1, 0], [1, 1]])
     assert block_successors(A) == [0b10, 0b11]
     assert block_successors(identity_matrix(dv(2, 1, 3))) == [0, 0, 0]
+
+
+def test_derived_columns_and_successors_match_their_definitions():
+    # columns() scatters the set bits of each row and block_successors keeps
+    # its masks on the matrix; both against entry-by-entry definitions, on
+    # valid and invalid matrices, cold and warm, and the list handed out is
+    # the caller's to change.
+    cases = seeded_matrices()
+    assert {is_valid(A) for A in cases} == {True, False}
+    for A in cases:
+        A = ReducedMatrix(A.omega, A.rows)
+        omega = A.omega
+        assert A.columns() == columns_bitwise(A) == A.columns()
+        want = [
+            sum(
+                1 << j
+                for j in range(omega.k)
+                if any(
+                    ((A.rows[t] >> j) & 1) != (i == j)
+                    for t in range(omega.offset(i), omega.offset(i + 1))
+                )
+            )
+            for i in range(omega.k)
+        ]
+        first = block_successors(A)
+        assert type(first) is list and first == want
+        first[0] ^= 1
+        first.append(0)
+        assert block_successors(A) == want
 
 
 def test_reach_names_the_vertices_on_a_cycle_like_the_reference():
