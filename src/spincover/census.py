@@ -217,9 +217,10 @@ def sample_valid(
         if not counter_is_valid(omega, c):
             continue
         A = matrix_from_counter(omega, c)
-        if is_valid(A):
-            found += 1
-            yield A
+        if not is_valid(A):
+            raise RuntimeError(f"the sampler kept an invalid draw, rows {compact_matrix(A)}")
+        found += 1
+        yield A
     if found < count:
         raise BudgetError(
             f"only {found} of {count} requested valid samples found in {draws} draws"
@@ -266,7 +267,6 @@ class DiscrepancyReport:
     total_valid: int
     counts: dict[str, int]
     discrepancies: list[CensusRecord] = field(default_factory=list)
-    component_failures: list[CensusRecord] = field(default_factory=list)
 
     def summary(self) -> str:
         parts = [f"valid: {self.total_valid}"]
@@ -342,42 +342,78 @@ def build_record(
     )
 
 
-def _run(
+# A check's discrepancy flags for one matrix, and its value for each count.
+Verdict = tuple[list[str], tuple[int, ...]]
+Check = Callable[[ReducedMatrix, Optional[CensusRecord]], Verdict]
+
+
+def run_family(
     omega: DimensionVector,
-    counts: dict[str, int],
-    check: Callable[[ReducedMatrix, DiscrepancyReport, Optional[CensusRecord]], list[str]],
-    sample: Optional[int],
-    budget: int,
-    seed: int,
-    threads: int,
-    sink: Sink,
+    keys: tuple[str, ...],
+    check: Check,
+    *,
+    sample: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
+    sink: Sink = None,
 ) -> DiscrepancyReport:
     """Run `check` on every valid matrix of the family, or on `sample` seeded draws.
 
-    The check returns the discrepancy flags of one matrix and may bump the
-    report's counts.  A census record is built only for a sink or a flagged
-    matrix; for a sink it is built first and handed to the check.  Records
-    take their oracle fields from a `class_memo` that lives for this run only.
+    `check(A, rec)` returns the discrepancy flags of one matrix and its value
+    for each count in `keys`, which the run adds up; a report's counts keep
+    every key, at 0 when no matrix is checked.  A census record is built only
+    for a sink or a flagged matrix; for a sink it is built first and handed to
+    the check, which otherwise gets None.  Records take their oracle fields
+    from a `class_memo` that lives for this run only.
     """
     if sample is None:
-        check_budget(omega, budget)
         matrices = enumerate_valid(omega, budget=budget, threads=threads)
-        total = space_size(omega)
     else:
         matrices = sample_valid(omega, sample, seed=seed, budget=budget)
-        total = sample
-    report = DiscrepancyReport(omega.dims, total, 0, counts)
+    counts = dict.fromkeys(keys, 0)
+    discrepancies = []
+    valid = 0
     oracle = class_memo(omega)
     for A in matrices:
-        report.total_valid += 1
+        valid += 1
         rec = None if sink is None else build_record(A, [], oracle)
-        flags = check(A, report, rec)
+        flags, values = check(A, rec)
+        for key, value in zip(keys, values, strict=True):
+            counts[key] += value
         if flags:
             rec = build_record(A, flags, oracle) if rec is None else replace(rec, flags=tuple(flags))
-            report.discrepancies.append(rec)
+            discrepancies.append(rec)
         if sink is not None:
             sink(rec)
-    return report
+    # The space is sized only now: enumerate_valid refuses a space over budget
+    # before it yields, so a refused run never builds 2^{n(k-1)}.
+    total = space_size(omega) if sample is None else sample
+    return DiscrepancyReport(omega.dims, total, valid, counts, discrepancies)
+
+
+def _spin_check(A: ReducedMatrix, rec: Optional[CensusRecord]) -> Verdict:
+    """Flags and (orientable, spin) of A for `crosscheck_spin`.  With a record
+    at hand its three verdicts are the record's, so each decider runs once."""
+    if rec is None:
+        closed = has_spin(A)
+        orientable, spin = closed.orientable, closed.spin
+        dig = has_spin_digraph(from_matrix(A)).spin
+        orac = oracle_has_spin(A)
+    else:
+        orientable, spin = rec.orientable, rec.spin_closed
+        dig, orac = rec.spin_digraph, rec.spin_oracle
+    suff = spin_sufficient(A)
+    flags = []
+    if spin != dig:
+        flags.append("spin-closed-digraph-mismatch")
+    if spin != orac:
+        flags.append("spin-closed-oracle-mismatch")
+    if suff and not spin:
+        flags.append("sufficient-but-not-spin")
+    if A.omega.l == 0 and suff != spin:
+        flags.append("l0-necessity-mismatch")
+    return flags, (orientable, spin)
 
 
 def crosscheck_spin(
@@ -389,36 +425,25 @@ def crosscheck_spin(
     """Compare the matrix, digraph and oracle Spin deciders on every valid A.
 
     Also enforces that the sufficient condition implies Spin, and that it
-    is exactly Spin when no factor is an interval.  With a record at hand the
-    three verdicts are the record's, so each decider runs once per matrix.
+    is exactly Spin when no factor is an interval.
     """
-    l_zero = omega.l == 0
+    keys = ("orientable", "spin")
+    return run_family(omega, keys, _spin_check, budget=budget, threads=threads, sink=sink)
 
-    def check(A: ReducedMatrix, report: DiscrepancyReport, rec: Optional[CensusRecord]) -> list[str]:
-        if rec is None:
-            closed = has_spin(A)
-            orientable, spin = closed.orientable, closed.spin
-            dig = has_spin_digraph(from_matrix(A)).spin
-            orac = oracle_has_spin(A)
-        else:
-            orientable, spin = rec.orientable, rec.spin_closed
-            dig, orac = rec.spin_digraph, rec.spin_oracle
-        suff = spin_sufficient(A)
-        flags = []
-        if spin != dig:
-            flags.append("spin-closed-digraph-mismatch")
-        if spin != orac:
-            flags.append("spin-closed-oracle-mismatch")
-        if suff and not spin:
-            flags.append("sufficient-but-not-spin")
-        if l_zero and suff != spin:
-            flags.append("l0-necessity-mismatch")
-        report.counts["orientable"] += orientable
-        report.counts["spin"] += spin
-        return flags
 
-    counts = {"orientable": 0, "spin": 0}
-    return _run(omega, counts, check, None, budget, DEFAULT_SEED, threads, sink)
+def _w_check(m: int, A: ReducedMatrix, _rec: object) -> Verdict:
+    """Flags and (vanish,) of A for `crosscheck_w` in degree m."""
+    closed_poly = closed_coefficients(A, m).polynomial(A.omega.k)
+    vanish = (w3_vanishes_big if m == 3 else w4_vanishes_big)(A)
+    wm = total_sw_truncated(A, m).degree_part(m)
+    flags = []
+    if closed_poly != wm:
+        flags.append(f"w{m}-expansion-mismatch")
+    if vanish != normal_form(wm, A).is_zero():
+        flags.append(f"w{m}-vanish-mismatch")
+    if m == 3 and vanish != w3_vanishes_digraph(from_matrix(A)):
+        flags.append("w3-closed-digraph-mismatch")
+    return flags, (vanish,)
 
 
 def crosscheck_w(
@@ -443,22 +468,24 @@ def crosscheck_w(
         raise ValueError("closed forms cover degrees 3 and 4 only")
     if any(d < m for d in omega.dims):
         raise ValueError(f"every factor dimension must be at least {m}")
+    check = functools.partial(_w_check, m)
+    return run_family(
+        omega, ("vanish",), check, sample=sample, seed=seed, budget=budget, threads=threads, sink=sink
+    )
 
-    def check(A: ReducedMatrix, report: DiscrepancyReport, _rec: object) -> list[str]:
-        closed_poly = closed_coefficients(A, m).polynomial(A.omega.k)
-        vanish = (w3_vanishes_big if m == 3 else w4_vanishes_big)(A)
-        wm = total_sw_truncated(A, m).degree_part(m)
-        flags = []
-        if closed_poly != wm:
-            flags.append(f"w{m}-expansion-mismatch")
-        if vanish != normal_form(wm, A).is_zero():
-            flags.append(f"w{m}-vanish-mismatch")
-        if m == 3 and vanish != w3_vanishes_digraph(from_matrix(A)):
-            flags.append("w3-closed-digraph-mismatch")
-        report.counts["vanish"] += vanish
-        return flags
 
-    return _run(omega, {"vanish": 0}, check, sample, budget, seed, threads, sink)
+def _elementary_check(A: ReducedMatrix, _rec: object) -> Verdict:
+    """Flags and (spin, component-invalid) of A for `verify_elementary`.
+
+    Every component is valid: `elementary_component(A, i, j)` keeps only A's
+    arcs into i and j and A's all-ones diagonal, so its block relation is a
+    subgraph of A's acyclic one.  So component-invalid is always 0, and an
+    invalid component would raise in `has_spin` rather than be counted.
+    """
+    whole = has_spin(A).spin
+    pairs = itertools.combinations(range(A.omega.k), 2)
+    parts = [has_spin(elementary_component(A, i, j)).spin for i, j in pairs]
+    return (["elementary-decomposition-mismatch"] if whole != all(parts) else []), (whole, 0)
 
 
 def verify_elementary(
@@ -467,37 +494,19 @@ def verify_elementary(
     threads: int = 1,
     sink: Sink = None,
 ) -> DiscrepancyReport:
-    """Spin of A vs the conjunction of Spin over its elementary components.
-
-    A component that fails validation is recorded on its own list; the
-    decomposition comparison is only made when every component validates.
-    """
+    """Spin of A vs the conjunction of Spin over its elementary components."""
     if omega.k < 2:
         raise ValueError("needs at least two factors")
+    keys = ("spin", "component-invalid")
+    return run_family(omega, keys, _elementary_check, budget=budget, threads=threads, sink=sink)
 
-    def check(A: ReducedMatrix, report: DiscrepancyReport, _rec: object) -> list[str]:
-        whole = has_spin(A).spin
-        report.counts["spin"] += whole
-        comp_spins = []
-        broken = []
-        for i, j in itertools.combinations(range(omega.k), 2):
-            C = elementary_component(A, i, j)
-            if not is_valid(C):
-                broken.append((i, j))
-            else:
-                comp_spins.append(has_spin(C).spin)
-        if broken:
-            report.counts["component-invalid"] += 1
-            tags = ",".join(f"{i + 1}-{j + 1}" for i, j in broken)
-            report.component_failures.append(
-                build_record(A, [f"component-invalid:{tags}"])
-            )
-        elif whole != all(comp_spins):
-            return ["elementary-decomposition-mismatch"]
-        return []
 
-    counts = {"spin": 0, "component-invalid": 0}
-    return _run(omega, counts, check, None, budget, DEFAULT_SEED, threads, sink)
+def _conjecture_check(t: int, reading: str, A: ReducedMatrix, _rec: object) -> Verdict:
+    """Flags and (predicate, oracle-vanish) of A for `verify_conjecture`,
+    which compares the classes w_1..w_{t+2}."""
+    pred = conjecture_predicate(A, t, reading)
+    vanish = all(oracle_class_is_zero(A, m) for m in range(1, t + 3))
+    return ([f"conjecture-t{t}-{reading}-mismatch"] if pred != vanish else []), (pred, vanish)
 
 
 def verify_conjecture(
@@ -518,14 +527,8 @@ def verify_conjecture(
     """
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
-    top = 3 if t == 1 else 4
-
-    def check(A: ReducedMatrix, report: DiscrepancyReport, _rec: object) -> list[str]:
-        pred = conjecture_predicate(A, t, reading)
-        vanish = all(oracle_class_is_zero(A, m) for m in range(1, top + 1))
-        report.counts["predicate"] += pred
-        report.counts["oracle-vanish"] += vanish
-        return [f"conjecture-t{t}-{reading}-mismatch"] if pred != vanish else []
-
-    counts = {"predicate": 0, "oracle-vanish": 0}
-    return _run(omega, counts, check, sample, budget, seed, threads, sink)
+    check = functools.partial(_conjecture_check, t, reading)
+    keys = ("predicate", "oracle-vanish")
+    return run_family(
+        omega, keys, check, sample=sample, seed=seed, budget=budget, threads=threads, sink=sink
+    )

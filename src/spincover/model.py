@@ -244,13 +244,17 @@ def _induced(succ: Sequence[int], subset: Iterable[int]) -> list[int]:
     return [m & inside if (inside >> c) & 1 else 0 for c, m in enumerate(succ)]
 
 
+def _kept_successors(A: ReducedMatrix) -> tuple[int, ...]:
+    if A._succ is None:
+        A._succ = tuple(_union(rows) for rows in _successors(A))
+    return A._succ
+
+
 def block_successors(A: ReducedMatrix) -> list[int]:
     """Per vertex i, the mask of the j with i -> j: v_ij != 0 (i != j), and
     a loop i -> i when v_ii is not all ones.  The masks are kept on A; each
     call returns a fresh list of them."""
-    if A._succ is None:
-        A._succ = tuple(_union(rows) for rows in _successors(A))
-    return list(A._succ)
+    return list(_kept_successors(A))
 
 
 def is_valid(A: ReducedMatrix) -> bool:
@@ -259,7 +263,7 @@ def is_valid(A: ReducedMatrix) -> bool:
     selection is unitriangular after relabeling.  The verdict is kept on A,
     so every later guard on the same matrix costs O(1)."""
     if A._valid is None:
-        A._valid = not is_cyclic(block_successors(A))
+        A._valid = not is_cyclic(_kept_successors(A))
     return A._valid
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -35,7 +36,7 @@ from spincover.census import (
     oracle_fields,
     write_census_header,
 )
-from spincover import census, model, oracle
+from spincover import census, cli, model, oracle
 from spincover import from_matrix, has_spin_digraph, normal_form, total_sw_truncated
 from spincover.cli import main
 from conftest import count_valid, dv, filter_valid, perfbench_common
@@ -306,6 +307,54 @@ def test_spin_crosscheck_families(dims):
     assert report.discrepancies == []
 
 
+def test_the_sampler_guard_refuses_an_invalid_draw(monkeypatch):
+    # A counter verdict that ever keeps a cyclic draw is a bug in the verdict:
+    # the guard names the rows instead of dropping the draw.
+    monkeypatch.setattr(census, "counter_is_valid", lambda omega, counter: True)
+    with pytest.raises(RuntimeError, match="rows 11/11$"):
+        list(sample_valid(dv(1, 1), 50))
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 2), (1, 1, 1, 1), (2, 3)])
+def test_spin_check_reads_the_record_as_its_own_deciders_would(dims):
+    # With a sink the spin check reads its verdicts off the record, without
+    # one it runs the deciders itself; flags and counts must not differ.
+    for A in enumerate_valid(DimensionVector(dims)):
+        assert census._spin_check(A, None) == census._spin_check(A, build_record(A, []))
+
+
+def test_every_check_pickles_and_gives_the_same_result(monkeypatch):
+    # The checks the drivers hand to run_family, the bound partials included,
+    # survive a round trip through pickle, as a worker would receive them.
+    checks = []
+
+    def capture(omega, keys, check, **kwargs):
+        checks.append((omega, keys, check))
+
+    monkeypatch.setattr(census, "run_family", capture)
+    crosscheck_spin(dv(1, 1, 2))
+    crosscheck_w(dv(3, 3), 3)
+    crosscheck_w(dv(4, 4), 4)
+    verify_elementary(dv(1, 1, 2))
+    verify_conjecture(dv(2, 3), 1, "as-written")
+    verify_conjecture(dv(4, 4), 2, "shifted")
+    checks.append((dv(1, 2), (), cli._no_check))
+    assert len(checks) == 7
+    for omega, keys, check in checks:
+        again = pickle.loads(pickle.dumps(check))
+        for A in itertools.islice(enumerate_valid(omega), 12):
+            flags, values = check(A, None)
+            assert again(A, None) == (flags, values)
+            assert len(values) == len(keys)
+
+
+def test_counts_keep_their_keys_when_no_matrix_is_checked():
+    assert crosscheck_w(dv(3, 3), 3, sample=0).counts == {"vanish": 0}
+    report = verify_conjecture(dv(2, 2), 1, "shifted", sample=0)
+    assert report.counts == {"predicate": 0, "oracle-vanish": 0}
+    assert report.total_valid == 0
+
+
 def test_spin_crosscheck_summary_and_sink():
     records = []
     report = crosscheck_spin(dv(1, 1), sink=records.append)
@@ -557,7 +606,6 @@ def test_elementary_needs_two_factors():
 def test_elementary_decomposition_holds_on(dims):
     report = verify_elementary(DimensionVector(dims))
     assert report.discrepancies == []
-    assert report.component_failures == []
 
 
 def test_elementary_decomposition_fails_with_mixed_dimensions():
@@ -568,7 +616,6 @@ def test_elementary_decomposition_fails_with_mixed_dimensions():
     assert report.total_valid == 69
     assert report.counts == {"spin": 8, "component-invalid": 0}
     assert len(report.discrepancies) == 8
-    assert report.component_failures == []
     assert all(
         rec.flags == ("elementary-decomposition-mismatch",)
         for rec in report.discrepancies
