@@ -227,12 +227,44 @@ def sample_valid(
         )
 
 
+# Rows of up to this many columns are named from a table of every row.
+ROW_NAME_BITS = 11
+
+
+@functools.lru_cache(maxsize=ROW_NAME_BITS)
+def _row_names(k: int) -> tuple[str, ...]:
+    """The `row_strings` name of every k-column row, indexed by the row."""
+    width = f"0{k}b"
+    return tuple(format(row, width)[::-1] for row in range(1 << k))
+
+
 def compact_matrix(A: ReducedMatrix) -> str:
     """Rows as 0/1 strings joined by '/', small enough for one JSON line."""
-    return "/".join(row_strings(A))
+    k = A.omega.k
+    if k > ROW_NAME_BITS:
+        return "/".join(row_strings(A))
+    names = _row_names(k)
+    return "/".join([names[row] for row in A.rows])
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+@functools.lru_cache(maxsize=16)
+def _omega_json(omega: tuple[int, ...]) -> str:
+    return _encode(list(omega))
+
+
+@functools.lru_cache(maxsize=256)
+def _w_json(digests: tuple[tuple[int, str], ...]) -> str:
+    """The encoded "w" object of a record's digest items.  Keyed on the
+    items, so every record of a row-order class shares one encoding, and a
+    record with other digests can never read a stale one."""
+    return _encode({str(m): d for m, d in digests})
+
+
+_BOOL_JSON = {True: "true", False: "false"}
 
 
 @dataclass(frozen=True)
@@ -247,17 +279,19 @@ class CensusRecord:
     flags: tuple[str, ...]
 
     def to_json(self) -> str:
-        obj = {
-            "flags": list(self.flags),
-            "matrix": self.matrix,
-            "omega": list(self.omega),
-            "orientable": self.orientable,
-            "spin_closed": self.spin_closed,
-            "spin_digraph": self.spin_digraph,
-            "spin_oracle": self.spin_oracle,
-            "w": {str(m): d for m, d in sorted(self.w_digests.items())},
-        }
-        return _encode(obj)
+        """The census line: the eight fields as one JSON object with sorted
+        keys and no spaces.  The line is assembled from parts; the omega and
+        "w" parts are encoded once per distinct value, and the matrix string
+        is escaped as JSON, so the line equals encoding the object whole."""
+        flags = _encode(list(self.flags)) if self.flags else "[]"
+        return (
+            f'{{"flags":{flags},"matrix":{_encode_str(self.matrix)},'
+            f'"omega":{_omega_json(self.omega)},"orientable":{_BOOL_JSON[self.orientable]},'
+            f'"spin_closed":{_BOOL_JSON[self.spin_closed]},'
+            f'"spin_digraph":{_BOOL_JSON[self.spin_digraph]},'
+            f'"spin_oracle":{_BOOL_JSON[self.spin_oracle]},'
+            f'"w":{_w_json(tuple(self.w_digests.items()))}}}'
+        )
 
 
 @dataclass
@@ -527,6 +561,8 @@ def verify_conjecture(
     """
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
+    if any(d < 2**t for d in omega.dims):
+        raise ValueError(f"every factor dimension must be at least {2**t}")
     check = functools.partial(_conjecture_check, t, reading)
     keys = ("predicate", "oracle-vanish")
     return run_family(

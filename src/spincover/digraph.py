@@ -16,7 +16,7 @@ from typing import Mapping
 from .model import (
     DimensionVector,
     ReducedMatrix,
-    block_successors,
+    _kept_successors,
     identity_rows,
     reach,
     require_valid,
@@ -103,7 +103,7 @@ def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
     require_valid(A)
     omega, cols = A.omega, A.columns()
     edges = {}
-    for i, succ in enumerate(block_successors(A)):
+    for i, succ in enumerate(_kept_successors(A)):
         off, mask = omega.offset(i), (1 << omega[i]) - 1
         for j in range(omega.k):
             if (succ >> j) & 1:

@@ -5,6 +5,7 @@ import itertools
 import json
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from spincover import (
     verify_elementary,
 )
 from spincover.census import (
+    CensusRecord,
     bit_layout,
     build_record,
     class_memo,
@@ -294,6 +296,96 @@ def test_census_header_and_record_lines(torus):
         '"w":{"1":"0","2":"0"}}'
     )
     assert json.loads(line)["w"] == {"1": "0", "2": "0"}
+
+
+def definitional_line(rec: CensusRecord) -> str:
+    """A census line as the record's eight fields encoded whole."""
+    return json.dumps(
+        {
+            "flags": list(rec.flags),
+            "matrix": rec.matrix,
+            "omega": list(rec.omega),
+            "orientable": rec.orientable,
+            "spin_closed": rec.spin_closed,
+            "spin_digraph": rec.spin_digraph,
+            "spin_oracle": rec.spin_oracle,
+            "w": {str(m): d for m, d in rec.w_digests.items()},
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def record_from_line(line: str) -> CensusRecord:
+    obj = json.loads(line)
+    return CensusRecord(
+        omega=tuple(obj["omega"]),
+        matrix=obj["matrix"],
+        orientable=obj["orientable"],
+        spin_closed=obj["spin_closed"],
+        spin_digraph=obj["spin_digraph"],
+        spin_oracle=obj["spin_oracle"],
+        w_digests={int(m): d for m, d in obj["w"].items()},
+        flags=tuple(obj["flags"]),
+    )
+
+
+def twelve_column_matrix() -> ReducedMatrix:
+    # wider than the row-name table: its rows are named one by one
+    omega = dv(*(1,) * (census.ROW_NAME_BITS + 1))
+    rows = list(model.identity_rows(omega))
+    rows[-1] |= 0b101
+    rows[5] |= 0b10
+    return ReducedMatrix(omega, rows)
+
+
+def test_census_lines_equal_the_definitional_encoding():
+    # A line is assembled from parts encoded once (the omega, each row's
+    # name, the "w" object); it must equal the eight fields encoded whole,
+    # and read back into the same record, on every record of a census, with
+    # flags, with strings that JSON escapes, and past the row-name table.
+    records = []
+    for dims in [(1, 2, 4), (1, 1, 1, 1), (2, 2, 2)]:
+        crosscheck_spin(dv(*dims), sink=records.append)
+    assert len(records) == 1525 + 543 + 289
+    records += [
+        replace(records[0], flags=("spin-closed-digraph-mismatch",)),
+        replace(records[1], flags=("sufficient-but-not-spin", "l0-necessity-mismatch")),
+        replace(records[2], flags=('a "quoted" \\ tag', "caf\u00e9\n")),
+        replace(records[3], matrix='10/"01"\t\u00e9'),
+        build_record(twelve_column_matrix(), ["w3-vanish-mismatch"]),
+    ]
+    for rec in records:
+        line = rec.to_json()
+        assert line == definitional_line(rec)
+        assert record_from_line(line) == rec
+    wide = twelve_column_matrix()
+    assert compact_matrix(wide) == "/".join(model.row_strings(wide))
+    for A in enumerate_valid(dv(1, 2, 4)):
+        assert compact_matrix(A) == "/".join(model.row_strings(A))
+
+
+def test_the_encoding_caches_are_bounded():
+    # One row-name table per width up to ROW_NAME_BITS, none past it; the
+    # "w" fragments keep the 256 most recent digest sets, and a record with
+    # other digests gets its own line, never a fragment cached for another.
+    census._row_names.cache_clear()
+    compact_matrix(twelve_column_matrix())
+    assert census._row_names.cache_info().currsize == 0
+    for A in enumerate_valid(dv(1, 2, 4)):
+        compact_matrix(A)
+    assert census._row_names.cache_info().currsize == 1
+    assert census._row_names.cache_info().maxsize == census.ROW_NAME_BITS
+    assert len(census._row_names(census.ROW_NAME_BITS)) == 2**census.ROW_NAME_BITS
+    assert census._omega_json.cache_info().maxsize == 16
+
+    base = build_record(matrix_from_counter(dv(1, 1), 0), [])
+    census._w_json.cache_clear()
+    for i in range(300):
+        rec = replace(base, w_digests={1: f"x{i}", 2: "0"})
+        assert rec.to_json() == definitional_line(rec)
+    info = census._w_json.cache_info()
+    assert info.maxsize == info.currsize == 256 and info.misses == 300
 
 
 @pytest.mark.parametrize(
@@ -645,6 +737,19 @@ def test_conjecture_guards():
         verify_conjecture(dv(2, 2), 1, "sideways")
     with pytest.raises(ValueError):
         verify_conjecture(dv(1, 2), 1, "shifted")
+
+
+@pytest.mark.parametrize("sample", [None, 0, 3])
+def test_conjecture_refuses_small_factors_before_the_run(monkeypatch, sample):
+    # The factor-dimension guard runs up front, as crosscheck_w's does: a
+    # sampled run of size 0 raises like the full run, and no matrix is checked.
+    checked = []
+    monkeypatch.setattr(census, "conjecture_predicate", lambda *args: checked.append(args))
+    with pytest.raises(ValueError, match="^every factor dimension must be at least 2$"):
+        verify_conjecture(dv(1, 2), 1, "shifted", sample=sample)
+    with pytest.raises(ValueError, match="^every factor dimension must be at least 4$"):
+        verify_conjecture(dv(4, 3), 2, "shifted", sample=sample)
+    assert checked == []
 
 
 def test_conjecture_shifted_reading_matches_oracle():

@@ -464,6 +464,16 @@ def test_failed_run_leaves_no_census(runner, tmp_path, args, code):
     assert not out.exists()
 
 
+def test_conjecture_on_small_factors_exits_2_and_leaves_no_census(runner, tmp_path):
+    out = tmp_path / "census.jsonl"
+    result = runner.invoke(
+        main, ["conjecture", "--omega", "1,2", "--t", "1", "--census", str(out)]
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "every factor dimension must be at least 2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
