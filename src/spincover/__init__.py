@@ -8,6 +8,7 @@ from .model import (
     InvalidMatrixError,
     MatrixFormatError,
     ReducedMatrix,
+    SpinReport,
     ValidityReport,
     conjugate_by_permutation,
     elementary_component,
@@ -30,7 +31,6 @@ from .oracle import (
 )
 from .closedform import (
     CoeffTable,
-    SpinReport,
     conjecture_predicate,
     has_spin,
     interval_simplex_matrix,

@@ -31,6 +31,7 @@ from .digraph import from_matrix, has_spin_digraph, w3_vanishes_digraph
 from .model import (
     DimensionVector,
     ReducedMatrix,
+    bit_string,
     elementary_component,
     identity_rows,
     is_cyclic,
@@ -62,23 +63,17 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
-def bit_layout(omega: DimensionVector) -> list[tuple[int, int]]:
-    """(row, column) per off-diagonal bit, most significant first."""
-    layout = []
-    for i in range(omega.k):
-        off = omega.offset(i)
-        for j in range(omega.k):
-            if j == i:
-                continue
-            for t in range(omega[i]):
-                layout.append((off + t, j))
-    return layout
-
-
 @functools.lru_cache(maxsize=None)
-def _cells_by_bit(omega: DimensionVector) -> tuple[tuple[int, int], ...]:
-    """bit_layout indexed by counter bit, least significant first."""
-    return tuple(reversed(bit_layout(omega)))
+def bit_layout(omega: DimensionVector) -> tuple[tuple[int, int], ...]:
+    """(row, column) per off-diagonal bit, most significant first, so
+    counter bit b is entry -1 - b."""
+    return tuple(
+        (omega.offset(i) + t, j)
+        for i in range(omega.k)
+        for j in range(omega.k)
+        if j != i
+        for t in range(omega[i])
+    )
 
 
 def space_size(omega: DimensionVector) -> int:
@@ -96,11 +91,11 @@ def check_budget(omega: DimensionVector, budget: int) -> None:
 
 
 def matrix_from_counter(omega: DimensionVector, counter: int) -> ReducedMatrix:
-    cells = _cells_by_bit(omega)
+    layout = bit_layout(omega)
     rows = identity_rows(omega)
     while counter:
         low = counter & -counter
-        r, c = cells[low.bit_length() - 1]
+        r, c = layout[-low.bit_length()]
         rows[r] |= 1 << c
         counter ^= low
     return ReducedMatrix(omega, rows)
@@ -129,12 +124,15 @@ def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, 
     Later block-rows are still zero, so every branch ends in a valid matrix.
     reach[v] is the bitmask of the vertices that v reaches by one or more arcs.
     """
-    n, k, cells = omega.n, omega.k, _cells_by_bit(omega)
+    k, layout = omega.k, bit_layout(omega)
     rows = identity_rows(omega)
+    # Per block-row, its (row, column) cells by bit of its part of the counter.
+    cells = [
+        layout[omega.offset(i) * (k - 1):omega.offset(i + 1) * (k - 1)][::-1] for i in range(k)
+    ]
 
     def extend(i: int, reach: list[int], x: int, stop: int) -> Iterator[tuple[int, ...]]:
-        off, d = omega.offset(i), omega[i]
-        mine = cells[(n - off - d) * (k - 1):(n - off) * (k - 1)]
+        off, d, mine = omega.offset(i), omega[i], cells[i]
         free = sum(1 << b for b, (_, j) in enumerate(mine) if not (reach[j] >> i) & 1)
         while x < stop:
             rows[off:off + d] = [1 << i] * d
@@ -150,7 +148,7 @@ def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, 
             else:
                 after = [r | out if (r >> i) & 1 else r for r in reach]
                 after[i] = out
-                yield from extend(i + 1, after, 0, 1 << len(cells))
+                yield from extend(i + 1, after, 0, 1 << len(layout))
             if x == free:
                 return
             x = (x - free) & free
@@ -234,8 +232,7 @@ ROW_NAME_BITS = 11
 @functools.lru_cache(maxsize=ROW_NAME_BITS)
 def _row_names(k: int) -> tuple[str, ...]:
     """The `row_strings` name of every k-column row, indexed by the row."""
-    width = f"0{k}b"
-    return tuple(format(row, width)[::-1] for row in range(1 << k))
+    return tuple(bit_string(row, k) for row in range(1 << k))
 
 
 def compact_matrix(A: ReducedMatrix) -> str:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .model import DimensionVector, ReducedMatrix, require_valid
+from .model import DimensionVector, ReducedMatrix, SpinReport, require_valid
 from .oracle import GradedPolynomial, monomials_of_degree
 
 MultiIndex = tuple[int, ...]
@@ -50,20 +50,6 @@ def _key_bits(k: int, d: int) -> dict[MultiIndex, int]:
         tuple(i for i, exp in enumerate(e) for _ in range(exp)): 1 << t
         for t, e in enumerate(monomials_of_degree(k, d))
     }
-
-
-@dataclass(frozen=True)
-class SpinReport:
-    orientable: bool
-    spin: bool
-    failed_condition: Optional[str] = None
-    witness: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.spin and (not self.orientable or self.failed_condition is not None):
-            raise ValueError("spin verdict inconsistent with its evidence")
-        if (self.failed_condition is None) != (self.witness is None):
-            raise ValueError("condition tag and witness go together")
 
 
 def binom_parity(n: int, r: int) -> int:

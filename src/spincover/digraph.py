@@ -16,12 +16,13 @@ from typing import Mapping
 from .model import (
     DimensionVector,
     ReducedMatrix,
+    SpinReport,
     _kept_successors,
+    bit_string,
     identity_rows,
     reach,
     require_valid,
 )
-from .closedform import SpinReport
 
 
 class CyclicDigraphError(ValueError):
@@ -30,11 +31,6 @@ class CyclicDigraphError(ValueError):
 
 class DigraphFormatError(ValueError):
     """Malformed digraph JSON."""
-
-
-def _bit_string(w: int, width: int) -> str:
-    """The bits of w, bit 0 leftmost."""
-    return "".join(str((w >> t) & 1) for t in range(width))
 
 
 class WeightedDigraph:
@@ -82,7 +78,7 @@ class WeightedDigraph:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{i + 1}->{j + 1}:{_bit_string(w, self.omega[i])}"
+            f"{i + 1}->{j + 1}:{bit_string(w, self.omega[i])}"
             for (i, j), w in sorted(self.edges.items())
         )
         return f"WeightedDigraph(omega={self.omega.dims}, [{body}])"
@@ -90,12 +86,6 @@ class WeightedDigraph:
     def weight(self, i: int, j: int) -> int:
         """Weight of (i, j); 0 when the edge is absent."""
         return self.edges.get((i, j), 0)
-
-    def in_neighbors(self, j: int) -> list[int]:
-        return sorted(i for (i, t) in self.edges if t == j)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges or (j, i) in self.edges
 
 
 def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
@@ -130,14 +120,22 @@ def weighted_in_degree(G: WeightedDigraph, i: int) -> int:
     return sum(w.bit_count() for (u, t), w in G.edges.items() if t == i)
 
 
+def _in_degrees(G: WeightedDigraph) -> list[int]:
+    """`weighted_in_degree` of every vertex, in one pass over the edges."""
+    indeg = [0] * G.omega.k
+    for (_, j), w in G.edges.items():
+        indeg[j] += w.bit_count()
+    return indeg
+
+
 def common_source_sum(G: WeightedDigraph, i: int, j: int) -> int:
     """M_ij: sum of w(u, v_i) . w(u, v_j) over common in-neighbors u."""
     if i == j:
         raise ValueError("common sources of a vertex with itself")
-    total = 0
-    for u in G.in_neighbors(i):
-        if (u, j) in G.edges:
-            total += (G.edges[(u, i)] & G.edges[(u, j)]).bit_count()
+    edges, total = G.edges, 0
+    for (u, t), w in edges.items():
+        if t == i and (u, j) in edges:
+            total += (w & edges[(u, j)]).bit_count()
     return total
 
 
@@ -148,10 +146,8 @@ def has_spin_digraph(G: WeightedDigraph) -> SpinReport:
     which condition i guarantees; conditions are therefore evaluated in
     order with the first failure reported.
     """
-    k = G.omega.k
-    indeg = [0] * k
-    for (_, j), w in G.edges.items():
-        indeg[j] += w.bit_count()
+    k, edges = G.omega.k, G.edges
+    indeg = _in_degrees(G)
     orientable = all((indeg[v] + G.omega[v]) % 2 == 1 for v in range(k))
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:
@@ -164,20 +160,14 @@ def has_spin_digraph(G: WeightedDigraph) -> SpinReport:
         elif indeg[v] % 4 != (3 - G.omega[v]) % 4:
             return report("i", (v,))
     for i, j in itertools.combinations(range(k), 2):
-        if not G.adjacent(i, j) and common_source_sum(G, i, j) % 2 != 0:
+        non_adjacent = (i, j) not in edges and (j, i) not in edges
+        if non_adjacent and common_source_sum(G, i, j) % 2 != 0:
             return report("ii", (i, j))
-    for (i, j) in sorted(G.edges):
-        if G.omega[i] != 1:
-            continue
-        w = G.edges[(i, j)]
-        half = w * indeg[i] // 2
-        if common_source_sum(G, i, j) % 2 != half % 2:
+    for (i, j), w in sorted(edges.items()):
+        if G.omega[i] == 1 and common_source_sum(G, i, j) % 2 != (w * indeg[i] // 2) % 2:
             return report("iii", (i, j))
-    for (i, j) in sorted(G.edges):
-        if G.omega[i] == 1:
-            continue
-        w = G.edges[(i, j)]
-        if common_source_sum(G, i, j) % 2 != w.bit_count() % 2:
+    for (i, j), w in sorted(edges.items()):
+        if G.omega[i] != 1 and common_source_sum(G, i, j) % 2 != w.bit_count() % 2:
             return report("iv", (i, j))
     return SpinReport(orientable, True)
 
@@ -192,7 +182,7 @@ def w3_vanishes_digraph(G: WeightedDigraph) -> bool:
     if any(d < 3 for d in G.omega.dims):
         raise ValueError("every vertex dimension must be at least 3")
     k = G.omega.k
-    single = [weighted_in_degree(G, v) + G.omega[v] for v in range(k)]
+    single = [d + n for d, n in zip(_in_degrees(G), G.omega)]
 
     def pair_count(i: int, j: int) -> int:
         return (
@@ -289,7 +279,7 @@ def serialize_digraph(G: WeightedDigraph) -> str:
             {
                 "from": i + 1,
                 "to": j + 1,
-                "w": _bit_string(w, G.omega[i]),
+                "w": bit_string(w, G.omega[i]),
             }
             for (i, j), w in sorted(G.edges.items())
         ],

@@ -91,6 +91,23 @@ class ValidityReport:
             raise ValueError("witnesses present iff invalid")
 
 
+@dataclass(frozen=True)
+class SpinReport:
+    """A Spin verdict, as every decider reports it: the first failing
+    condition of the criterion and its 0-based witness, None when Spin."""
+
+    orientable: bool
+    spin: bool
+    failed_condition: Optional[str] = None
+    witness: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.spin and (not self.orientable or self.failed_condition is not None):
+            raise ValueError("spin verdict inconsistent with its evidence")
+        if (self.failed_condition is None) != (self.witness is None):
+            raise ValueError("condition tag and witness go together")
+
+
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
     (r, c).  The column ints `_cols`, the dot counts `_dots`, the block
@@ -398,7 +415,7 @@ def parse_matrix(text: str) -> ReducedMatrix:
     1-based line where parsing stopped.
     """
     dims: Optional[tuple[int, ...]] = None
-    rows: list[list[int]] = []
+    rows: list[int] = []
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -421,23 +438,26 @@ def parse_matrix(text: str) -> ReducedMatrix:
             raise MatrixFormatError(
                 lineno, f"expected {len(dims)} columns, got {len(line)}"
             )
-        try:
-            rows.append([{"0": 0, "1": 1}[ch] for ch in line])
-        except KeyError:
+        if any(ch not in "01" for ch in line):
             raise MatrixFormatError(lineno, f"row {line!r} has characters outside 0/1")
+        rows.append(int(line[::-1], 2))
     if dims is None:
         raise MatrixFormatError(last_line or 1, "missing dimension line")
     if len(rows) != sum(dims):
         raise MatrixFormatError(
             last_line or 1, f"expected {sum(dims)} rows, got {len(rows)}"
         )
-    return ReducedMatrix.from_rows(dims, rows)
+    return ReducedMatrix(DimensionVector(dims), rows)
+
+
+def bit_string(x: int, width: int) -> str:
+    """The bits of x < 2^width as `width` 0/1 characters, bit 0 leftmost."""
+    return format(x, f"0{width}b")[::-1]
 
 
 def row_strings(A: ReducedMatrix) -> list[str]:
     """Each row as its k entries in 0/1, column 0 first."""
-    width = f"0{A.omega.k}b"
-    return [format(row, width)[::-1] for row in A.rows]
+    return [bit_string(row, A.omega.k) for row in A.rows]
 
 
 def serialize_matrix(A: ReducedMatrix) -> str:

@@ -94,12 +94,6 @@ def _times_linear(k: int, d: int, row: int, mask: int) -> int:
     return out
 
 
-def _terms(k: int, d: int, mask: int) -> list[ExpVec]:
-    """The monomials of a degree-d piece, descending lex."""
-    monomials = _monomial_index(k, d)[0] if mask else ()
-    return [monomials[t] for t in range(mask.bit_length()) if (mask >> t) & 1]
-
-
 class GradedPolynomial:
     """Polynomial over GF(2) in k variables, stored by degree.
 
@@ -113,23 +107,8 @@ class GradedPolynomial:
         self.k = k
         self.pieces = {d: mask for d, mask in pieces.items() if mask}
 
-    @classmethod
-    def from_terms(cls, k: int, terms: Iterable[ExpVec]) -> "GradedPolynomial":
-        acc: dict[int, int] = {}
-        for e in terms:
-            d = sum(e)
-            # GF(2): a repeated term cancels
-            acc[d] = acc.get(d, 0) ^ (1 << _monomial_index(k, d)[1][e])
-        return cls(k, acc)
-
     def is_zero(self) -> bool:
         return not self.pieces
-
-    def degrees(self) -> list[int]:
-        return sorted(self.pieces)
-
-    def piece(self, d: int) -> frozenset[ExpVec]:
-        return frozenset(_terms(self.k, d, self.pieces.get(d, 0)))
 
     def degree_part(self, d: int) -> "GradedPolynomial":
         return GradedPolynomial(self.k, {d: self.pieces.get(d, 0)})
@@ -299,6 +278,8 @@ def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
 
 def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
     """Canonical representative of p modulo the ideal, degree by degree."""
+    if p.k != A.omega.k:
+        raise ValueError(f"polynomial in {p.k} variables, matrix has k={A.omega.k}")
     require_valid(A)
     out = {d: _basis(A, d).reduce(m) if d else m for d, m in p.pieces.items()}
     return GradedPolynomial(p.k, out)

@@ -71,7 +71,7 @@ FAMILY_COUNTS = {
 
 
 def test_bit_layout_row_then_column():
-    assert bit_layout(dv(1, 2)) == [(0, 1), (1, 0), (2, 0)]
+    assert bit_layout(dv(1, 2)) == ((0, 1), (1, 0), (2, 0))
     assert space_size(dv(1, 2)) == 8
     assert space_size(dv(1, 2, 2)) == 1024
 

@@ -191,10 +191,9 @@ def test_zero_weight_edges_are_normalized_away():
 def test_weight_of_absent_edge_is_zero_vector(tower_2333):
     g = from_matrix(tower_2333)
     assert g.weight(1, 0) == 0
-    # adjacency disregards direction; it feeds the non-neighbor condition
-    assert g.adjacent(0, 1) and g.adjacent(1, 0)
-    assert not g.adjacent(1, 2)
-    assert g.in_neighbors(1) == [0, 3]
+    assert (0, 1) in g.edges and (1, 0) not in g.edges
+    assert (1, 2) not in g.edges and (2, 1) not in g.edges
+    assert sorted(u for u, t in g.edges if t == 1) == [0, 3]
 
 
 def test_relabeling_permutes_edges():

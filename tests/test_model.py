@@ -467,3 +467,13 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_matrix(text)
     assert exc.value.line == line
     assert f"line {line}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("row", ["1_0", "01+", "01-", "1١0"])
+def test_parse_refuses_rows_that_int_would_read(row):
+    # Rows are read with int(row[::-1], 2), which accepts signs, underscores
+    # and non-ASCII digits; the format allows only the characters 0 and 1.
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(f"1 1 1\n{row}\n010\n001\n")
+    assert exc.value.line == 2
+    assert "characters outside 0/1" in str(exc.value)
