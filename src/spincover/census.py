@@ -43,7 +43,7 @@ from .oracle import (
     normal_form,
     oracle_class_is_zero,
     oracle_has_spin,
-    polynomial_str,
+    piece_str,
     total_sw_truncated,
 )
 
@@ -186,7 +186,8 @@ def enumerate_valid(
         jobs = [(omega, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with Pool(processes=len(jobs)) as pool:
             found = itertools.chain.from_iterable(pool.map(_walk_slice, jobs))
-    for A in (ReducedMatrix(omega, rows) for rows in found):
+    for rows in found:
+        A = ReducedMatrix(omega, rows)
         if not is_valid(A):
             raise RuntimeError(f"the walk yielded an invalid matrix, rows {compact_matrix(A)}")
         yield A
@@ -327,10 +328,10 @@ OracleFields = Callable[[ReducedMatrix], tuple[bool, dict[int, str]]]
 def oracle_fields(A: ReducedMatrix) -> tuple[bool, dict[int, str]]:
     """The oracle's Spin verdict on A and its w_1..w_top digests, read off
     one reduced expansion of the total class (top = min(4, n))."""
-    top = min(4, A.omega.n)
-    reduced = normal_form(total_sw_truncated(A, top), A)
-    digests = {m: polynomial_str(reduced.degree_part(m)) for m in range(1, top + 1)}
-    return 1 not in reduced.pieces and 2 not in reduced.pieces, digests
+    k, top = A.omega.k, min(4, A.omega.n)
+    pieces = normal_form(total_sw_truncated(A, top), A).pieces
+    digests = {m: piece_str(k, m, pieces.get(m, 0)) for m in range(1, top + 1)}
+    return 1 not in pieces and 2 not in pieces, digests
 
 
 def class_memo(omega: DimensionVector) -> OracleFields:

@@ -41,6 +41,7 @@ from .model import (
     InvalidMatrixError,
     MatrixFormatError,
     ReducedMatrix,
+    parse_decimal,
     parse_matrix,
     require_valid,
     serialize_matrix,
@@ -89,7 +90,7 @@ def _load_matrix(path: str) -> ReducedMatrix:
 
 def _parse_omega(text: str) -> DimensionVector:
     try:
-        dims = tuple(int(tok) for tok in text.split(","))
+        dims = tuple(parse_decimal(tok.strip()) for tok in text.split(","))
         return DimensionVector(dims)
     except ValueError as exc:
         _fail(EXIT_INPUT, f"bad omega {text!r}: {exc}")

@@ -97,8 +97,8 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
     require_valid(A)
     k = A.omega.k
     dims = A.omega.dims
-    single, pair = A.dots()
-    orientable = all(d % 2 == 1 for d in single)
+    single = A.self_dots()
+    orientable = all([d % 2 == 1 for d in single])
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:
         return SpinReport(orientable, False, tag, witness)
@@ -109,6 +109,7 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
                 return report("i", (i,))
         elif single[i] % 4 != 3:
             return report("i", (i,))
+    pair = A.dots()[1]
     for i, j in itertools.combinations(range(k), 2):
         if dims[i] > 1 and dims[j] > 1 and pair[i][j] % 2 != 0:
             return report("ii", (i, j))
@@ -135,9 +136,8 @@ def spin_sufficient(A: ReducedMatrix) -> bool:
     Always implies Spin; when no factor is an interval it is equivalent.
     """
     require_valid(A)
-    single, pair = A.dots()
-    return all(d % 4 == 3 for d in single) and all(
-        p % 2 == 0 for i, row in enumerate(pair) for p in row[i + 1:]
+    return all([d % 4 == 3 for d in A.self_dots()]) and all(
+        [p % 2 == 0 for i, row in enumerate(A.dots()[1]) for p in row[i + 1:]]
     )
 
 

@@ -17,9 +17,9 @@ from .model import (
     DimensionVector,
     ReducedMatrix,
     SpinReport,
-    _kept_successors,
     bit_string,
     identity_rows,
+    is_cyclic,
     reach,
     require_valid,
 )
@@ -44,7 +44,7 @@ class WeightedDigraph:
     __slots__ = ("omega", "edges")
 
     def __init__(self, omega: DimensionVector, edges: Mapping[tuple[int, int], int]):
-        k = omega.k
+        k, dims = omega.k, omega.dims
         clean: dict[tuple[int, int], int] = {}
         succ = [0] * k
         for (i, j), w in edges.items():
@@ -52,16 +52,16 @@ class WeightedDigraph:
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if i == j:
                 raise ValueError(f"loop at vertex {i}")
-            if w < 0 or w >> omega[i]:
+            if w < 0 or w >> dims[i]:
                 raise ValueError(
                     f"edge ({i}, {j}) weight {w} does not fit in "
-                    f"omega({i}) = {omega[i]} bits"
+                    f"omega({i}) = {dims[i]} bits"
                 )
             if w:
                 clean[(i, j)] = w
                 succ[i] |= 1 << j
-        on_cycle = [v + 1 for v, r in enumerate(reach(succ)) if (r >> v) & 1]
-        if on_cycle:
+        if is_cyclic(succ):
+            on_cycle = [v + 1 for v, r in enumerate(reach(succ)) if (r >> v) & 1]
             raise CyclicDigraphError(f"directed cycle through vertices {on_cycle}")
         self.omega = omega
         self.edges = clean
@@ -91,14 +91,15 @@ class WeightedDigraph:
 def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
     """Digraph with adjacency matrix A - I_omega, read off A's columns."""
     require_valid(A)
-    omega, cols = A.omega, A.columns()
+    cols, dims, offsets = A.columns(), A.omega.dims, A.omega._block_offsets
     edges = {}
-    for i, succ in enumerate(_kept_successors(A)):
-        off, mask = omega.offset(i), (1 << omega[i]) - 1
-        for j in range(omega.k):
-            if (succ >> j) & 1:
-                edges[(i, j)] = (cols[j] >> off) & mask
-    return WeightedDigraph(omega, edges)
+    for i, succ in enumerate(A._succ):
+        off, mask = offsets[i], (1 << dims[i]) - 1
+        while succ:
+            j = (succ & -succ).bit_length() - 1
+            edges[(i, j)] = (cols[j] >> off) & mask
+            succ &= succ - 1
+    return WeightedDigraph(A.omega, edges)
 
 
 def to_matrix(G: WeightedDigraph) -> ReducedMatrix:
@@ -146,28 +147,29 @@ def has_spin_digraph(G: WeightedDigraph) -> SpinReport:
     which condition i guarantees; conditions are therefore evaluated in
     order with the first failure reported.
     """
-    k, edges = G.omega.k, G.edges
+    k, edges, dims = G.omega.k, G.edges, G.omega.dims
     indeg = _in_degrees(G)
-    orientable = all((indeg[v] + G.omega[v]) % 2 == 1 for v in range(k))
+    orientable = all([(indeg[v] + dims[v]) % 2 == 1 for v in range(k)])
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:
         return SpinReport(orientable, False, tag, witness)
 
     for v in range(k):
-        if G.omega[v] == 1:
+        if dims[v] == 1:
             if indeg[v] % 2 != 0:
                 return report("i", (v,))
-        elif indeg[v] % 4 != (3 - G.omega[v]) % 4:
+        elif indeg[v] % 4 != (3 - dims[v]) % 4:
             return report("i", (v,))
     for i, j in itertools.combinations(range(k), 2):
         non_adjacent = (i, j) not in edges and (j, i) not in edges
         if non_adjacent and common_source_sum(G, i, j) % 2 != 0:
             return report("ii", (i, j))
-    for (i, j), w in sorted(edges.items()):
-        if G.omega[i] == 1 and common_source_sum(G, i, j) % 2 != (w * indeg[i] // 2) % 2:
+    by_edge = sorted(edges.items())
+    for (i, j), w in by_edge:
+        if dims[i] == 1 and common_source_sum(G, i, j) % 2 != (w * indeg[i] // 2) % 2:
             return report("iii", (i, j))
-    for (i, j), w in sorted(edges.items()):
-        if G.omega[i] != 1 and common_source_sum(G, i, j) % 2 != w.bit_count() % 2:
+    for (i, j), w in by_edge:
+        if dims[i] != 1 and common_source_sum(G, i, j) % 2 != w.bit_count() % 2:
             return report("iv", (i, j))
     return SpinReport(orientable, True)
 

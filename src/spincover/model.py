@@ -14,8 +14,9 @@ reports are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 
@@ -32,10 +33,18 @@ class InvalidMatrixError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _block_offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
+def _offsets_of(dims: tuple[int, ...]) -> tuple[int, ...]:
     """The row offsets of the blocks and n, shared by every vector of the same
     dims: a tuple per vector raised the peak RSS of a long run of requests."""
     return tuple(accumulate(dims, initial=0))
+
+
+def parse_decimal(token: str) -> int:
+    """A factor dimension written in plain ASCII decimal digits; `int` alone
+    would also read signs, underscores and the digits of other scripts."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a decimal number")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,8 @@ class DimensionVector:
         for d in self.dims:
             if d < 1:
                 raise ValueError(f"factor dimension {d} is not positive")
+        # offset(i) for i = 0..k, one tuple shared by every vector of these dims
+        object.__setattr__(self, "_block_offsets", _offsets_of(self.dims))
 
     @cached_property
     def n(self) -> int:
@@ -66,7 +77,7 @@ class DimensionVector:
 
     def offset(self, i: int) -> int:
         """Row index where block i starts (0 <= i <= k)."""
-        return _block_offsets(self.dims)[i]
+        return self._block_offsets[i]
 
     def __iter__(self):
         return iter(self.dims)
@@ -110,24 +121,24 @@ class SpinReport:
 
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
-    (r, c).  The column ints `_cols`, the dot counts `_dots`, the block
-    successor masks `_succ` of `block_successors` and the verdict `_valid`
-    of `is_valid` are computed on first use (None until then) and shared by
-    every later reader."""
+    (r, c).  The column ints `_cols`, the self-dots `_single`, the dot
+    counts `_dots`, and the verdict `_valid` of `is_valid` with the block
+    successor masks `_succ` it reads are computed on first use (None until
+    then) and shared by every later reader."""
 
-    __slots__ = ("omega", "rows", "_cols", "_dots", "_succ", "_valid")
+    __slots__ = ("omega", "rows", "_cols", "_single", "_dots", "_succ", "_valid")
 
     def __init__(self, omega: DimensionVector, rows: Sequence[int]):
         if len(rows) != omega.n:
             raise ValueError(
                 f"matrix has {len(rows)} rows, omega needs n={omega.n}"
             )
-        for r in rows:
-            if r < 0 or r >> omega.k:
-                raise ValueError(f"row bits outside the width k={omega.k}")
+        if min(rows) < 0 or max(rows) >> omega.k:
+            raise ValueError(f"row bits outside the width k={omega.k}")
         self.omega = omega
         self.rows = tuple(rows)
         self._cols: Optional[tuple[int, ...]] = None
+        self._single: Optional[tuple[int, ...]] = None
         self._dots: Optional[tuple] = None
         self._succ: Optional[tuple[int, ...]] = None
         self._valid: Optional[bool] = None
@@ -178,13 +189,19 @@ class ReducedMatrix:
             raise IndexError((i, j))
         return (self.columns()[j] >> self.omega.offset(i)) & ((1 << self.omega[i]) - 1)
 
+    def self_dots(self) -> tuple[int, ...]:
+        """The self-dots k_i, the popcounts of the column ints; kept."""
+        if self._single is None:
+            self._single = tuple([c.bit_count() for c in self.columns()])
+        return self._single
+
     def dots(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The self-dots k_i, and the table whose entry i, j is k_ij (k_i on
         the diagonal); built in one pass over the column ints and kept."""
         if self._dots is None:
             cols = self.columns()
-            pair = tuple(tuple((a & b).bit_count() for b in cols) for a in cols)
-            self._dots = tuple(row[i] for i, row in enumerate(pair)), pair
+            pair = tuple([tuple([(a & b).bit_count() for b in cols]) for a in cols])
+            self._dots = self.self_dots(), pair
         return self._dots
 
     def k_count(self, cols: Iterable[int]) -> int:
@@ -205,19 +222,8 @@ def _successors(A: ReducedMatrix) -> list[list[int]]:
     That is the row with bit i flipped: bit j != i is an arc i -> j, and a
     clear diagonal entry is a loop i -> i.
     """
-    out = []
-    off = 0
-    for i, d in enumerate(A.omega.dims):
-        out.append([r ^ (1 << i) for r in A.rows[off:off + d]])
-        off += d
-    return out
-
-
-def _union(masks: Iterable[int]) -> int:
-    acc = 0
-    for m in masks:
-        acc |= m
-    return acc
+    rows, offsets = A.rows, A.omega._block_offsets
+    return [[r ^ (1 << i) for r in rows[offsets[i]:offsets[i + 1]]] for i in range(A.omega.k)]
 
 
 def reach(succ: Sequence[int]) -> list[int]:
@@ -234,8 +240,26 @@ def reach(succ: Sequence[int]) -> list[int]:
 
 
 def is_cyclic(succ: Sequence[int]) -> bool:
-    """Whether the relation with bit j of succ[i] an arc i -> j has a cycle."""
-    return any((r >> v) & 1 for v, r in enumerate(reach(succ)))
+    """Whether the relation with bit j of succ[i] an arc i -> j has a cycle,
+    by Kahn's peel in O(k + arcs) int operations: sources are removed until
+    none is left, and a loop is an arc into its own vertex, which is then never
+    a source."""
+    k = len(succ)
+    indeg = [0] * k
+    for m in succ:
+        while m:
+            indeg[(m & -m).bit_length() - 1] += 1
+            m &= m - 1
+    sources = [v for v, d in enumerate(indeg) if not d]
+    for v in sources:  # the loop also visits the sources appended below
+        m = succ[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            indeg[u] -= 1
+            if not indeg[u]:
+                sources.append(u)
+            m &= m - 1
+    return len(sources) < k
 
 
 def _path_lengths(succ: Sequence[int], v: int) -> list[int]:
@@ -249,7 +273,7 @@ def _path_lengths(succ: Sequence[int], v: int) -> list[int]:
             if (frontier >> u) & 1:
                 lengths[u] = length
         seen |= frontier
-        frontier = _union(succ[u] for u in range(len(succ)) if (frontier >> u) & 1)
+        frontier = reduce(or_, [succ[u] for u in range(len(succ)) if (frontier >> u) & 1], 0)
         frontier &= ~seen
         length += 1
     return lengths
@@ -257,21 +281,28 @@ def _path_lengths(succ: Sequence[int], v: int) -> list[int]:
 
 def _induced(succ: Sequence[int], subset: Iterable[int]) -> list[int]:
     """The relation restricted to the vertices of subset."""
-    inside = _union(1 << c for c in subset)
+    inside = reduce(or_, [1 << c for c in subset], 0)
     return [m & inside if (inside >> c) & 1 else 0 for c, m in enumerate(succ)]
 
 
-def _kept_successors(A: ReducedMatrix) -> tuple[int, ...]:
-    if A._succ is None:
-        A._succ = tuple(_union(rows) for rows in _successors(A))
-    return A._succ
+def _block_masks(A: ReducedMatrix) -> tuple[int, ...]:
+    """The masks of `block_successors`, one OR and one AND per block of rows:
+    bit j != i of the OR is v_ij != 0, and the loop bit i is set unless the
+    AND has it, that is unless v_ii is all ones."""
+    rows, offsets, masks = A.rows, A.omega._block_offsets, []
+    for i in range(len(offsets) - 1):
+        block, bit = rows[offsets[i]:offsets[i + 1]], 1 << i
+        masks.append((reduce(or_, block) | bit) ^ (reduce(and_, block) & bit))
+    return tuple(masks)
 
 
 def block_successors(A: ReducedMatrix) -> list[int]:
     """Per vertex i, the mask of the j with i -> j: v_ij != 0 (i != j), and
-    a loop i -> i when v_ii is not all ones.  The masks are kept on A; each
-    call returns a fresh list of them."""
-    return list(_kept_successors(A))
+    a loop i -> i when v_ii is not all ones.  The first `is_valid` on A
+    derives the masks and keeps them with its verdict; each call returns a
+    fresh list of them."""
+    is_valid(A)
+    return list(A._succ)
 
 
 def is_valid(A: ReducedMatrix) -> bool:
@@ -280,7 +311,8 @@ def is_valid(A: ReducedMatrix) -> bool:
     selection is unitriangular after relabeling.  The verdict is kept on A,
     so every later guard on the same matrix costs O(1)."""
     if A._valid is None:
-        A._valid = not is_cyclic(_kept_successors(A))
+        A._succ = _block_masks(A)
+        A._valid = not is_cyclic(A._succ)
     return A._valid
 
 
@@ -298,15 +330,14 @@ def validate(A: ReducedMatrix) -> ValidityReport:
     """
     if is_valid(A):
         return ValidityReport(True)
-    blocks = _successors(A)
     # The first cyclic selection, block by block: the smallest row that still
     # closes a cycle when the later blocks may use any of their rows.
     selection: list[int] = []
     chosen: list[int] = []
-    for i, rows in enumerate(blocks):
-        later = [_union(b) for b in blocks[i + 1:]]
+    for i, rows in enumerate(_successors(A)):
+        later = A._succ[i + 1:]
         for li, succ in enumerate(rows):
-            if is_cyclic(chosen + [succ] + later):
+            if is_cyclic([*chosen, succ, *later]):
                 selection.append(li)
                 chosen.append(succ)
                 break
@@ -316,14 +347,11 @@ def validate(A: ReducedMatrix) -> ValidityReport:
     # so a cyclic subset of the girth's size, which is a shortest cycle, is
     # built only from vertices that pairwise meet this.
     close = [
-        _union(
-            1 << v
-            for v in range(len(chosen))
-            if d[v] and dist[v][u] and d[v] + dist[v][u] == girth
-        )
+        reduce(or_, [1 << v for v, row in enumerate(dist)
+                     if d[v] and row[u] and d[v] + row[u] == girth], 0)
         for u, d in enumerate(dist)
     ]
-    on_shortest = _union(1 << v for v, d in enumerate(dist) if d[v] == girth)
+    on_shortest = reduce(or_, [1 << v for v, d in enumerate(dist) if d[v] == girth], 0)
 
     def first_cycle(prefix: list[int], allowed: int) -> Optional[list[int]]:
         """The first cyclic extension of prefix to the girth's size, by
@@ -424,7 +452,7 @@ def parse_matrix(text: str) -> ReducedMatrix:
             continue
         if dims is None:
             try:
-                dims = tuple(int(tok) for tok in line.split())
+                dims = tuple(parse_decimal(tok) for tok in line.split())
             except ValueError:
                 raise MatrixFormatError(lineno, f"bad dimension line {line!r}")
             if not dims:

@@ -143,15 +143,17 @@ def _monomial_names(k: int, d: int) -> tuple[str, ...]:
     return tuple(_monomial_str(e) for e in _monomial_index(k, d)[0])
 
 
+def piece_str(k: int, d: int, mask: int) -> str:
+    """Render the degree-d piece `mask` like "x1^2*x3 + x1*x2^2", lex
+    descending; "0" when it is zero."""
+    names = _monomial_names(k, d)
+    return " + ".join([names[t] for t in range(mask.bit_length()) if (mask >> t) & 1]) or "0"
+
+
 def polynomial_str(p: GradedPolynomial) -> str:
     """Render like "x1^2*x3 + x2": degree descending, then lex descending."""
-    if p.is_zero():
-        return "0"
-    terms = []
-    for d in sorted(p.pieces, reverse=True):
-        names, mask = _monomial_names(p.k, d), p.pieces[d]
-        terms.extend(names[t] for t in range(mask.bit_length()) if (mask >> t) & 1)
-    return " + ".join(terms)
+    pieces = sorted(p.pieces.items(), reverse=True)
+    return " + ".join([piece_str(p.k, d, mask) for d, mask in pieces]) or "0"
 
 
 class DegreeBasis:
@@ -160,13 +162,16 @@ class DegreeBasis:
     Rows are keyed by pivot index, their lowest bit (the leading monomial),
     and the pivots are distinct.  Every nonzero element of the span then has
     a pivot as its lowest bit, so `reduce`, clearing the pivots in ascending
-    order, yields the one representative with no pivot bit set.
+    order, yields the one representative with no pivot bit set.  The rows are
+    put in that order by the first `reduce` after an insertion, so a cached
+    basis, which is never changed, is sorted once.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_ascending")
 
     def __init__(self):
         self.rows: dict[int, int] = {}
+        self._ascending = True
 
     def _insert(self, vec: int) -> None:
         while vec:
@@ -174,6 +179,7 @@ class DegreeBasis:
             row = self.rows.get(p)
             if row is None:
                 self.rows[p] = vec
+                self._ascending = False
                 return
             vec ^= row
 
@@ -182,9 +188,11 @@ class DegreeBasis:
         return len(self.rows)
 
     def reduce(self, mask: int) -> int:
-        for p in sorted(self.rows):
+        if not self._ascending:
+            self.rows, self._ascending = dict(sorted(self.rows.items())), True
+        for p, row in self.rows.items():
             if (mask >> p) & 1:
-                mask ^= self.rows[p]
+                mask ^= row
         return mask
 
 
@@ -246,11 +254,11 @@ def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> Degre
     `_rows_read(omega, d)` are `low`: the span of the multiples x^mu * g_i
     of degree d, each inserted once, as mu runs over the non-decreasing
     index sequences."""
-    k, basis = omega.k, DegreeBasis()
+    k, basis, offsets = omega.k, DegreeBasis(), omega._block_offsets
     row = dict(zip(_rows_read(omega, d), low))
-    for i, n in enumerate(omega):
+    for i, n in enumerate(omega.dims):
         if n < d:
-            block = range(omega.offset(i), omega.offset(i + 1))
+            block = range(offsets[i], offsets[i + 1])
             # (multiple, the least variable it may still be multiplied by)
             layer = [(_generator(k, i, [row[r] for r in block]), 0)]
             for deg in range(n + 1, d):
@@ -298,7 +306,7 @@ def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
     require_valid(A)
-    k, last = A.omega.k, A.omega.offset(A.omega.k - 1)
+    k, last = A.omega.k, A.omega._block_offsets[-2]
     start = _prefix(k, maxdeg, A.rows[:last])
     pieces = _expand(k, A.rows[last:], maxdeg, start)
     return GradedPolynomial(k, dict(enumerate(pieces)))

@@ -559,9 +559,9 @@ def test_one_block_relation_per_record_and_no_witness_search(monkeypatch):
     # search of validate runs only to name the minor of an invalid matrix.
     # The memo's sorted members, built on a miss, derive their own.
     derived, searched, decided, digraphs = [], [], [], []
-    real_successors, real_validate = model._successors, model.validate
+    real_masks, real_validate = model._block_masks, model.validate
     real_has_spin, real_from_matrix = census.has_spin, census.from_matrix
-    monkeypatch.setattr(model, "_successors", lambda A: derived.append(A) or real_successors(A))
+    monkeypatch.setattr(model, "_block_masks", lambda A: derived.append(A) or real_masks(A))
     monkeypatch.setattr(model, "validate", lambda A: searched.append(A) or real_validate(A))
     monkeypatch.setattr(census, "has_spin", lambda A: decided.append(A) or real_has_spin(A))
     monkeypatch.setattr(
@@ -641,10 +641,17 @@ def test_permuting_rows_within_blocks_keeps_the_classes_and_verdicts():
 
 
 def test_one_count_table_per_matrix(monkeypatch):
-    # has_spin and spin_sufficient read one dot-count table per matrix, with
-    # or without a record, and no count is recomputed through k_count
-    built, counted = [], []
-    real_dots, real_k_count = ReducedMatrix.dots, ReducedMatrix.k_count
+    # has_spin and spin_sufficient read one self-dot table per matrix, with
+    # or without a record, and the pair table at most once, only for the
+    # matrices that pass condition i; no count is recomputed through k_count
+    singles, built, counted = [], [], []
+    real_self_dots, real_dots = ReducedMatrix.self_dots, ReducedMatrix.dots
+    real_k_count = ReducedMatrix.k_count
+
+    def counting_self_dots(A):
+        if A._single is None:
+            singles.append(A)
+        return real_self_dots(A)
 
     def counting_dots(A):
         if A._dots is None:
@@ -655,14 +662,18 @@ def test_one_count_table_per_matrix(monkeypatch):
         counted.append(A)
         return real_k_count(A, cols)
 
+    past_i = {A.rows for A in enumerate_valid(dv(1, 2, 2)) if has_spin(A).failed_condition != "i"}
+    assert len(past_i) == 5
+    monkeypatch.setattr(ReducedMatrix, "self_dots", counting_self_dots)
     monkeypatch.setattr(ReducedMatrix, "dots", counting_dots)
     monkeypatch.setattr(ReducedMatrix, "k_count", counting_k_count)
-    records = []
-    report = crosscheck_spin(dv(1, 2, 2), sink=records.append)
-    assert len(built) == len(set(built)) == len(records) == report.total_valid == 157
-    built.clear()
-    report = crosscheck_spin(dv(1, 2, 2))
-    assert len(built) == len(set(built)) == report.total_valid == 157
+    for sink in ([].append, None):
+        singles.clear()
+        built.clear()
+        report = crosscheck_spin(dv(1, 2, 2), sink=sink)
+        assert len(singles) == len(set(singles)) == report.total_valid == 157
+        assert len(built) == len(set(built)) == 5
+        assert {A.rows for A in built} == past_i
     assert counted == []
 
 

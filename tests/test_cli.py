@@ -388,6 +388,28 @@ def test_bad_omega_is_an_input_error(runner, omega):
     assert "bad omega" in result.stderr
 
 
+@pytest.mark.parametrize("omega", ["١,+1", "1_0", "+1,1", "1,２"])
+def test_omega_needs_plain_decimal_digits(runner, omega):
+    # int() reads each of these; a factor dimension is ASCII digits only.
+    result = runner.invoke(main, ["enumerate", "--omega", omega])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"bad omega {omega!r}: ")
+
+
+def test_omega_tokens_may_be_spaced(runner):
+    result = runner.invoke(main, ["enumerate", "--omega", " 1, 2 "])
+    assert (result.exit_code, result.output) == (0, "space: 8, valid: 5\n")
+
+
+@pytest.mark.parametrize("line", ["١ 1", "1_0 1", "+1 1"])
+def test_check_refuses_a_dimension_line_int_would_read(runner, tmp_path, line):
+    src = tmp_path / "dims.txt"
+    src.write_text(f"{line}\n10\n01\n", encoding="utf-8")
+    result = runner.invoke(main, ["check", str(src)])
+    assert result.exit_code == 2
+    assert result.stderr == f"{src}: line 1: bad dimension line {line!r}\n"
+
+
 def test_verify_spin_clean(runner):
     result = runner.invoke(main, ["verify", "--omega", "1,1", "--check", "spin"])
     assert result.exit_code == 0

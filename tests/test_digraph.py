@@ -5,6 +5,7 @@ import pytest
 
 from spincover import (
     CyclicDigraphError,
+    DimensionVector,
     DigraphFormatError,
     InvalidMatrixError,
     WeightedDigraph,
@@ -23,6 +24,7 @@ from spincover import (
     w3_vanishes_digraph,
     weighted_in_degree,
 )
+from spincover import digraph, model
 from conftest import DATA, dv, seeded_matrices
 
 
@@ -180,6 +182,26 @@ def test_constructor_validation():
         WeightedDigraph(dv(1, 1), {(0, 1): -1})
     with pytest.raises(CyclicDigraphError):
         WeightedDigraph(dv(1, 1), {(0, 1): bits([1]), (1, 0): bits([1])})
+
+
+def test_large_digraphs_need_the_closure_only_to_name_a_cycle(monkeypatch):
+    # Acyclicity is Kahn's peel, linear in the arcs; the O(k^2) closure
+    # `reach` runs only to name the vertices of a cycle.
+    k = 3200
+    path = {(i, i + 1): 1 for i in range(k - 1)}
+    ring = {**path, (k - 1, 0): 1}
+
+    def refuse(succ):
+        raise AssertionError("reach on an acyclic digraph")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "reach", refuse)
+        patched.setattr(digraph, "reach", refuse)
+        G = WeightedDigraph(DimensionVector((1,) * k), path)
+    assert G.edges == path
+    with pytest.raises(CyclicDigraphError) as exc:
+        WeightedDigraph(DimensionVector((1,) * k), ring)
+    assert str(exc.value) == f"directed cycle through vertices {list(range(1, k + 1))}"
 
 
 def test_zero_weight_edges_are_normalized_away():

@@ -24,7 +24,7 @@ from spincover import (
     space_size,
     validate,
 )
-from spincover.model import block_successors, reach, require_valid
+from spincover.model import block_successors, is_cyclic, reach, require_valid
 from spincover.census import compact_matrix
 from conftest import (
     columns_bitwise,
@@ -120,8 +120,10 @@ def test_count_table_matches_k_count():
         omega = dv(*dims)
         A = ReducedMatrix(omega, [rng.randrange(1 << omega.k) for _ in range(omega.n)])
         assert A._dots is None
+        if rng.random() < 0.5:
+            assert A.self_dots() == tuple(A.k_count([i]) for i in range(omega.k))
         table = single, pair = A.dots()
-        assert A.dots() is table
+        assert A.dots() is table and A.self_dots() is single
         for i in range(omega.k):
             assert single[i] == pair[i][i] == A.k_count([i])
             for j in range(omega.k):
@@ -238,6 +240,55 @@ def test_reach_names_the_vertices_on_a_cycle_like_the_reference():
         assert [v for v in range(k) if (closure[v] >> v) & 1] == [
             v for v in range(k) if reaches_itself(v, arcs)
         ]
+
+
+def successors_by_rows(A):
+    """The definition of the block relation: block i's mask is the union of
+    its rows, each read with bit i flipped, so a clear diagonal entry is a loop."""
+    out = []
+    for i in range(A.omega.k):
+        mask = 0
+        for t in range(A.omega.offset(i), A.omega.offset(i + 1)):
+            mask |= A.rows[t] ^ (1 << i)
+        out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (2, 3)])
+def test_one_pass_masks_equal_the_union_of_the_rows_on_every_matrix(dims):
+    # Every n x k 0/1 matrix, valid or not, with its diagonal blocks free too.
+    omega = DimensionVector(dims)
+    for rows in itertools.product(range(1 << omega.k), repeat=omega.n):
+        A = ReducedMatrix(omega, rows)
+        assert block_successors(A) == successors_by_rows(A), rows
+
+
+def test_one_pass_masks_equal_the_union_of_the_rows_on_random_matrices():
+    rng = random.Random(18)
+    for _ in range(2000):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
+        omega = DimensionVector(dims)
+        A = ReducedMatrix(omega, [rng.getrandbits(omega.k) for _ in range(omega.n)])
+        assert block_successors(A) == successors_by_rows(A), (dims, A.rows)
+
+
+def reaches_itself_somewhere(succ):
+    closure = reach(succ)
+    return any((closure[v] >> v) & 1 for v in range(len(succ)))
+
+
+def test_kahn_peel_finds_a_cycle_exactly_when_a_vertex_reaches_itself():
+    # Every relation on up to 3 vertices, loops included, then random ones.
+    for k in range(4):
+        for arcs in range(1 << (k * k)):
+            succ = [(arcs >> (k * i)) & ((1 << k) - 1) for i in range(k)]
+            assert is_cyclic(succ) == reaches_itself_somewhere(succ), succ
+    rng = random.Random(19)
+    for _ in range(3000):
+        k = rng.randint(1, 12)
+        density = rng.random() / 2
+        succ = [sum(1 << j for j in range(k) if rng.random() < density) for _ in range(k)]
+        assert is_cyclic(succ) == reaches_itself_somewhere(succ), succ
 
 
 def _selection_rows(A, selection):
@@ -467,6 +518,16 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_matrix(text)
     assert exc.value.line == line
     assert f"line {line}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("line", ["١ 1", "1_0 1", "+1 1", "-1 1", "1 ２"])
+def test_parse_refuses_dimension_tokens_that_int_would_read(line):
+    # A factor dimension is plain ASCII decimal digits; int() also reads
+    # signs, underscores and the digits of other scripts.
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(f"{line}\n10\n01\n")
+    assert exc.value.line == 1
+    assert f"bad dimension line {line!r}" in str(exc.value)
 
 
 @pytest.mark.parametrize("row", ["1_0", "01+", "01-", "1١0"])
