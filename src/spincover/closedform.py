@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import DimensionVector, ReducedMatrix, SpinReport, require_valid
+from .model import DimensionVector, ReducedMatrix, SpinReport
 from .oracle import GradedPolynomial, monomials_of_degree
 
 MultiIndex = tuple[int, ...]
@@ -75,7 +75,6 @@ def subset_dots(A: ReducedMatrix, top: int) -> Iterator[tuple[tuple[int, ...], i
 
 def w2_coefficients(A: ReducedMatrix) -> CoeffTable:
     """Pre-reduction w2: alpha_i on x_i^2 and beta_ij on x_i x_j."""
-    require_valid(A)
     k = A.omega.k
     single, pair = A.dots()
     entries: dict[MultiIndex, int] = {}
@@ -94,7 +93,6 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
     remaining conditions are evaluated in order ii, iii, iv; the first
     failure is reported.
     """
-    require_valid(A)
     k = A.omega.k
     dims = A.omega.dims
     single = A.self_dots()
@@ -135,7 +133,6 @@ def spin_sufficient(A: ReducedMatrix) -> bool:
 
     Always implies Spin; when no factor is an interval it is equivalent.
     """
-    require_valid(A)
     return all([d % 4 == 3 for d in A.self_dots()]) and all(
         [p % 2 == 0 for i, row in enumerate(A.dots()[1]) for p in row[i + 1:]]
     )
@@ -147,7 +144,6 @@ def w3_coefficients(A: ReducedMatrix) -> CoeffTable:
     The x_i^2 x_j coefficient uses the subtrahend k_i * k_ij; replacing it
     by the bare k_ij breaks the expansion comparison, which arbitrates.
     """
-    require_valid(A)
     k = A.omega.k
     single, pair = A.dots()
     entries: dict[MultiIndex, int] = {}
@@ -176,7 +172,6 @@ def w3_vanishes_big(A: ReducedMatrix) -> bool:
     Below that the face ideal reaches degree 3 and the count criteria stop
     being the whole story, so the guard is hard.
     """
-    require_valid(A)
     if any(d < 3 for d in A.omega.dims):
         raise ValueError("every factor dimension must be at least 3")
     k = A.omega.k
@@ -205,7 +200,6 @@ def w4_coefficients(A: ReducedMatrix) -> CoeffTable:
     integral.  Summing over ordered pairs instead cancels everything but
     the leading product mod 2 and fails the expansion comparison.
     """
-    require_valid(A)
     k = A.omega.k
     (single, pair), cols = A.dots(), A.columns()
     entries: dict[MultiIndex, int] = {}
@@ -260,8 +254,8 @@ def w4_coefficients(A: ReducedMatrix) -> CoeffTable:
 def closed_coefficients(A: ReducedMatrix, m: int) -> CoeffTable:
     """Pre-reduction w_m coefficients for m = 1..4.
 
-    w_1 is the sum of x_i over the columns with an even self-dot; it is
-    read off the counts directly, with no validation pass.
+    w_1 is the sum of x_i over the columns with an even self-dot, read off
+    the counts directly.
     """
     if m == 1:
         return CoeffTable(1, {(i,): (d + 1) % 2 for i, d in enumerate(A.dots()[0])})
@@ -311,7 +305,6 @@ def w4_vanishes_big(A: ReducedMatrix) -> bool:
     genuinely constrain only matrices with at least four columns; with
     fewer columns the table can reject matrices whose w4 already vanishes.
     """
-    require_valid(A)
     if any(d < 4 for d in A.omega.dims):
         raise ValueError("every factor dimension must be at least 4")
     k = A.omega.k
@@ -364,7 +357,6 @@ def conjecture_predicate(A: ReducedMatrix, t: int, reading: str) -> bool:
         raise ValueError("t must be positive")
     if reading not in CONJECTURE_READINGS:
         raise ValueError(f"reading must be one of {CONJECTURE_READINGS}")
-    require_valid(A)
     if any(d < 2**t for d in A.omega.dims):
         raise ValueError(f"every factor dimension must be at least {2**t}")
     shift = 1 if reading == "shifted" else 0

@@ -18,10 +18,10 @@ from .model import (
     ReducedMatrix,
     SpinReport,
     bit_string,
+    block_successors,
     identity_rows,
     is_cyclic,
     reach,
-    require_valid,
 )
 
 
@@ -90,10 +90,9 @@ class WeightedDigraph:
 
 def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
     """Digraph with adjacency matrix A - I_omega, read off A's columns."""
-    require_valid(A)
     cols, dims, offsets = A.columns(), A.omega.dims, A.omega._block_offsets
     edges = {}
-    for i, succ in enumerate(A._succ):
+    for i, succ in enumerate(block_successors(A)):
         off, mask = offsets[i], (1 << dims[i]) - 1
         while succ:
             j = (succ & -succ).bit_length() - 1

@@ -29,7 +29,8 @@ class MatrixFormatError(ValueError):
 
 
 class InvalidMatrixError(ValueError):
-    """Raised when an operation requires a valid characteristic matrix."""
+    """Raised by the `ReducedMatrix` constructor on rows that are not a
+    characteristic matrix; the message names the first vanishing minor."""
 
 
 @lru_cache(maxsize=None)
@@ -121,12 +122,14 @@ class SpinReport:
 
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
-    (r, c).  The column ints `_cols`, the self-dots `_single`, the dot
-    counts `_dots`, and the verdict `_valid` of `is_valid` with the block
-    successor masks `_succ` it reads are computed on first use (None until
-    then) and shared by every later reader."""
+    (r, c).  Only a characteristic matrix can be built: the constructor
+    derives the block successor masks `_succ` and refuses a cycle among them
+    with `InvalidMatrixError`, so every function that takes a ReducedMatrix
+    takes a valid one.  The column ints `_cols`, the self-dots `_single` and
+    the dot counts `_dots` are computed on first use (None until then) and
+    shared by every later reader."""
 
-    __slots__ = ("omega", "rows", "_cols", "_single", "_dots", "_succ", "_valid")
+    __slots__ = ("omega", "rows", "_cols", "_single", "_dots", "_succ")
 
     def __init__(self, omega: DimensionVector, rows: Sequence[int]):
         if len(rows) != omega.n:
@@ -137,11 +140,18 @@ class ReducedMatrix:
             raise ValueError(f"row bits outside the width k={omega.k}")
         self.omega = omega
         self.rows = tuple(rows)
+        self._succ = _block_masks(omega, self.rows)
+        if is_cyclic(self._succ):
+            report = validate(omega, self.rows)
+            sel = tuple(x + 1 for x in report.failing_selection)
+            sub = tuple(sorted(x + 1 for x in report.failing_subset))
+            raise InvalidMatrixError(
+                f"not a characteristic matrix; principal minor vanishes "
+                f"at row selection {sel}, column subset {sub}"
+            )
         self._cols: Optional[tuple[int, ...]] = None
         self._single: Optional[tuple[int, ...]] = None
         self._dots: Optional[tuple] = None
-        self._succ: Optional[tuple[int, ...]] = None
-        self._valid: Optional[bool] = None
 
     @classmethod
     def from_rows(cls, dims: Sequence[int], rows: Sequence[Sequence[int]]) -> "ReducedMatrix":
@@ -216,14 +226,14 @@ class ReducedMatrix:
         return acc.bit_count()
 
 
-def _successors(A: ReducedMatrix) -> list[list[int]]:
+def _successors(omega: DimensionVector, rows: Sequence[int]) -> list[list[int]]:
     """Per block i, each of its rows as the successor set it gives vertex i.
 
     That is the row with bit i flipped: bit j != i is an arc i -> j, and a
     clear diagonal entry is a loop i -> i.
     """
-    rows, offsets = A.rows, A.omega._block_offsets
-    return [[r ^ (1 << i) for r in rows[offsets[i]:offsets[i + 1]]] for i in range(A.omega.k)]
+    offsets = omega._block_offsets
+    return [[r ^ (1 << i) for r in rows[offsets[i]:offsets[i + 1]]] for i in range(omega.k)]
 
 
 def reach(succ: Sequence[int]) -> list[int]:
@@ -285,61 +295,63 @@ def _induced(succ: Sequence[int], subset: Iterable[int]) -> list[int]:
     return [m & inside if (inside >> c) & 1 else 0 for c, m in enumerate(succ)]
 
 
-def _block_masks(A: ReducedMatrix) -> tuple[int, ...]:
+def _block_masks(omega: DimensionVector, rows: Sequence[int]) -> tuple[int, ...]:
     """The masks of `block_successors`, one OR and one AND per block of rows:
     bit j != i of the OR is v_ij != 0, and the loop bit i is set unless the
     AND has it, that is unless v_ii is all ones."""
-    rows, offsets, masks = A.rows, A.omega._block_offsets, []
+    offsets, masks = omega._block_offsets, []
     for i in range(len(offsets) - 1):
         block, bit = rows[offsets[i]:offsets[i + 1]], 1 << i
         masks.append((reduce(or_, block) | bit) ^ (reduce(and_, block) & bit))
     return tuple(masks)
 
 
-def block_successors(A: ReducedMatrix) -> list[int]:
+def block_successors(A: ReducedMatrix) -> tuple[int, ...]:
     """Per vertex i, the mask of the j with i -> j: v_ij != 0 (i != j), and
-    a loop i -> i when v_ii is not all ones.  The first `is_valid` on A
-    derives the masks and keeps them with its verdict; each call returns a
-    fresh list of them."""
-    is_valid(A)
-    return list(A._succ)
+    a loop i -> i when v_ii is not all ones.  The constructor derived them
+    and keeps them; since A is valid, they are acyclic."""
+    return A._succ
 
 
-def is_valid(A: ReducedMatrix) -> bool:
-    """The non-singularity condition: a shortest cycle of `block_successors`
-    spans a vanishing principal minor, and without a cycle every row
-    selection is unitriangular after relabeling.  The verdict is kept on A,
-    so every later guard on the same matrix costs O(1)."""
-    if A._valid is None:
-        A._succ = _block_masks(A)
-        A._valid = not is_cyclic(A._succ)
-    return A._valid
+def is_valid(omega: DimensionVector, rows: Sequence[int]) -> bool:
+    """Whether the n row ints of k bits over omega form a characteristic
+    matrix, that is whether `ReducedMatrix(omega, rows)` would be built.  A
+    shortest cycle of the block successor masks spans a vanishing principal
+    minor, and without a cycle every row selection is unitriangular after
+    relabeling."""
+    return not is_cyclic(_block_masks(omega, rows))
 
 
-def validate(A: ReducedMatrix) -> ValidityReport:
-    """Check the non-singularity condition.
+def validate(omega: DimensionVector, rows: Optional[Sequence[int]] = None) -> ValidityReport:
+    """Check the non-singularity condition of the row ints over omega.
 
     Every selection of one row per block must have all principal minors equal
-    to 1 over GF(2).  The witness of an invalid matrix is the first vanishing
-    minor with selections, then subset sizes, then subsets in lexicographic
-    order, so it is reproducible.  It is found without a determinant: a
-    selection has a vanishing minor exactly when its relation (the rows read
-    as `_successors`) is cyclic.  Every subset smaller than the girth g of
-    that relation is acyclic, so its minor is 1.  A cyclic subset of size g
-    induces a chordless g-cycle, whose minor det(I + P) is 0.
+    to 1 over GF(2).  The witness of an invalid candidate is the first
+    vanishing minor with selections, then subset sizes, then subsets in
+    lexicographic order, so it is reproducible.  It is found without a
+    determinant: a selection has a vanishing minor exactly when its relation
+    (the rows read as `_successors`) is cyclic.  Every subset smaller than
+    the girth g of that relation is acyclic, so its minor is 1.  A cyclic
+    subset of size g induces a chordless g-cycle, whose minor det(I + P) is 0.
+
+    `validate(A)` of a built matrix reads A's own omega and rows, and is
+    therefore always valid.
     """
-    if is_valid(A):
+    if rows is None:
+        omega, rows = omega.omega, omega.rows
+    succ = _block_masks(omega, rows)
+    if not is_cyclic(succ):
         return ValidityReport(True)
     # The first cyclic selection, block by block: the smallest row that still
     # closes a cycle when the later blocks may use any of their rows.
     selection: list[int] = []
     chosen: list[int] = []
-    for i, rows in enumerate(_successors(A)):
-        later = A._succ[i + 1:]
-        for li, succ in enumerate(rows):
-            if is_cyclic([*chosen, succ, *later]):
+    for i, block in enumerate(_successors(omega, rows)):
+        later = succ[i + 1:]
+        for li, row in enumerate(block):
+            if is_cyclic([*chosen, row, *later]):
                 selection.append(li)
-                chosen.append(succ)
+                chosen.append(row)
                 break
     dist = [_path_lengths(chosen, v) for v in range(len(chosen))]
     girth = min(d[v] for v, d in enumerate(dist) if d[v])
@@ -367,20 +379,6 @@ def validate(A: ReducedMatrix) -> ValidityReport:
 
     subset = first_cycle([], on_shortest)
     return ValidityReport(False, tuple(selection), frozenset(subset))
-
-
-def require_valid(A: ReducedMatrix) -> None:
-    """Raise `InvalidMatrixError` unless A is valid, reading the verdict kept
-    by `is_valid`; `validate` searches for the witness only on a failure."""
-    if is_valid(A):
-        return
-    report = validate(A)
-    sel = tuple(x + 1 for x in report.failing_selection)
-    sub = tuple(sorted(x + 1 for x in report.failing_subset))
-    raise InvalidMatrixError(
-        f"not a characteristic matrix; principal minor vanishes "
-        f"at row selection {sel}, column subset {sub}"
-    )
 
 
 def identity_rows(omega: DimensionVector) -> list[int]:
@@ -427,7 +425,6 @@ def elementary_component(A: ReducedMatrix, i: int, j: int) -> ReducedMatrix:
     k = A.omega.k
     if not (0 <= i < j < k):
         raise ValueError(f"need 0 <= i < j < k, got ({i}, {j})")
-    require_valid(A)
     keep = (1 << i) | (1 << j)
     rows = [
         (a & keep) | (e & ~keep)

@@ -26,10 +26,10 @@ it reads, so a hit is the value a rebuild would give:
   last into a prefix, cached on (k, maxdeg, those rows), and then only the
   rows of the last block.
 
-Cached values are never mutated, and every entry point validates the matrix
-before a lookup, so an invalid matrix that shares rows with a cached valid
-one is still refused.  A census record reduces one expansion of its total
-class against these bases.
+Cached values are never mutated, and every lookup is made for a
+`ReducedMatrix`, which its constructor has checked, so an invalid matrix that
+shares rows with a cached valid one is refused before it reaches a cache.  A
+census record reduces one expansion of its total class against these bases.
 
 No Groebner machinery: only degrees up to about 7 in at most a handful of
 variables ever occur, so per-degree linear algebra is exact and cheap.
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-from .model import DimensionVector, ReducedMatrix, require_valid
+from .model import DimensionVector, ReducedMatrix
 
 ExpVec = tuple[int, ...]
 
@@ -225,7 +225,6 @@ def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
     g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l), of degree
     n_i + 1.  The diagonal convention makes each factor contain x_i.
     """
-    require_valid(A)
     omega = A.omega
     return tuple(
         GradedPolynomial(
@@ -270,26 +269,20 @@ def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> Degre
     return basis
 
 
-def _basis(A: ReducedMatrix, d: int) -> DegreeBasis:
-    """The cached basis of I_d for A; the caller has validated A."""
-    rows = A.rows
-    return _degree_basis(A.omega, d, tuple(rows[r] for r in _rows_read(A.omega, d)))
-
-
 def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
-    """Echelon basis of I_d, the span of the multiples x^mu * g_i of degree d."""
+    """Echelon basis of I_d, the span of the multiples x^mu * g_i of degree
+    d; the cached one for A's rows `_rows_read(A.omega, d)`."""
     if d < 1:
         raise ValueError("degree must be positive")
-    require_valid(A)
-    return _basis(A, d)
+    rows = A.rows
+    return _degree_basis(A.omega, d, tuple(rows[r] for r in _rows_read(A.omega, d)))
 
 
 def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
     """Canonical representative of p modulo the ideal, degree by degree."""
     if p.k != A.omega.k:
         raise ValueError(f"polynomial in {p.k} variables, matrix has k={A.omega.k}")
-    require_valid(A)
-    out = {d: _basis(A, d).reduce(m) if d else m for d, m in p.pieces.items()}
+    out = {d: ideal_degree_basis(A, d).reduce(m) if d else m for d, m in p.pieces.items()}
     return GradedPolynomial(p.k, out)
 
 
@@ -305,7 +298,6 @@ def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:
     Every row but those of the last block goes into a cached prefix."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
-    require_valid(A)
     k, last = A.omega.k, A.omega._block_offsets[-2]
     start = _prefix(k, maxdeg, A.rows[:last])
     pieces = _expand(k, A.rows[last:], maxdeg, start)

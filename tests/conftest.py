@@ -9,10 +9,11 @@ from spincover import (
     DimensionVector,
     ReducedMatrix,
     is_valid,
-    matrix_from_counter,
     parse_matrix,
     space_size,
 )
+from spincover.census import bit_layout
+from spincover.model import identity_rows
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,6 +50,11 @@ def klein() -> ReducedMatrix:
 
 def dv(*dims: int) -> DimensionVector:
     return DimensionVector(tuple(dims))
+
+
+def row_ints(rows: list[list[int]]) -> list[int]:
+    """Rows of 0/1 entries, column 0 first, as the row ints of a candidate."""
+    return [sum(e << c for c, e in enumerate(row)) for row in rows]
 
 
 def det_rows(rows: list[int], cols_mask: int) -> int:
@@ -122,11 +128,12 @@ def perfbench_common():
 
 
 @functools.lru_cache(maxsize=None)
-def seeded_matrices() -> tuple[ReducedMatrix, ...]:
-    """300 seeded matrices over the benchmark's query shapes, valid and
-    arbitrary (mostly invalid) in turn, then ten each over the one-factor
-    shapes (1,) and (3,) and over (1,)^8: the inputs on which a matrix's
-    derived structure is compared against its definition."""
+def seeded_candidates() -> tuple[tuple[DimensionVector, tuple[int, ...]], ...]:
+    """300 seeded candidates (omega, rows) over the benchmark's query shapes,
+    valid and arbitrary (mostly invalid) in turn, then ten each over the
+    one-factor shapes (1,) and (3,) and over (1,)^8: the inputs on which a
+    matrix's derived structure, and the refusal of the rest, are compared
+    against their definitions."""
     common = perfbench_common()
     rng = random.Random(14)
     shapes = [common.QUERY_SHAPES[t % len(common.QUERY_SHAPES)] for t in range(300)]
@@ -137,8 +144,14 @@ def seeded_matrices() -> tuple[ReducedMatrix, ...]:
             rows = [rng.getrandbits(len(dims)) for _ in range(sum(dims))]
         else:
             rows = common.random_valid_matrix(rng, dims)
-        out.append(ReducedMatrix(DimensionVector(dims), rows))
+        out.append((DimensionVector(dims), tuple(rows)))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_matrices() -> tuple[ReducedMatrix, ...]:
+    """The valid `seeded_candidates`, built."""
+    return tuple(ReducedMatrix(*c) for c in seeded_candidates() if is_valid(*c))
 
 
 def columns_bitwise(A: ReducedMatrix) -> tuple[int, ...]:
@@ -175,13 +188,25 @@ def reaches_itself(v: int, arcs: list[tuple[int, int]]) -> bool:
     return False
 
 
+def counter_rows(omega: DimensionVector, counter: int) -> tuple[int, ...]:
+    """The candidate rows that counter assigns, valid or not, one layout
+    position at a time: the definitional decoding that
+    `census.matrix_from_counter` is compared against."""
+    layout = bit_layout(omega)
+    rows = identity_rows(omega)
+    for pos, (r, c) in enumerate(layout):
+        if (counter >> (len(layout) - 1 - pos)) & 1:
+            rows[r] |= 1 << c
+    return tuple(rows)
+
+
 @functools.lru_cache(maxsize=None)
 def filter_valid(omega: DimensionVector) -> tuple[ReducedMatrix, ...]:
     """Every candidate decoded from its counter and kept when valid, in
     counter order: the definitional slow path that the acyclicity walk of
     `enumerate_valid` is compared against."""
-    candidates = (matrix_from_counter(omega, c) for c in range(space_size(omega)))
-    return tuple(A for A in candidates if is_valid(A))
+    candidates = (counter_rows(omega, c) for c in range(space_size(omega)))
+    return tuple(ReducedMatrix(omega, rows) for rows in candidates if is_valid(omega, rows))
 
 
 def count_valid(dims: tuple[int, ...]) -> int:

@@ -22,6 +22,7 @@ from spincover import (
     enumerate_valid,
     has_spin,
     identity_matrix,
+    is_valid,
     matrix_from_counter,
     sample_valid,
     space_size,
@@ -41,19 +42,24 @@ from spincover.census import (
 from spincover import census, cli, model, oracle
 from spincover import from_matrix, has_spin_digraph, normal_form, total_sw_truncated
 from spincover.cli import main
-from conftest import count_valid, dv, filter_valid, perfbench_common
+from conftest import count_valid, counter_rows, dv, filter_valid, perfbench_common
 
+
+
+def counter_from_rows(omega: DimensionVector, rows) -> int:
+    """The inverse of counter_rows."""
+    layout = bit_layout(omega)
+    nbits = len(layout)
+    counter = 0
+    for pos, (r, c) in enumerate(layout):
+        if (rows[r] >> c) & 1:
+            counter |= 1 << (nbits - 1 - pos)
+    return counter
 
 
 def counter_from_matrix(A: ReducedMatrix) -> int:
     """The inverse of matrix_from_counter."""
-    layout = bit_layout(A.omega)
-    nbits = len(layout)
-    counter = 0
-    for pos, (r, c) in enumerate(layout):
-        if (A.rows[r] >> c) & 1:
-            counter |= 1 << (nbits - 1 - pos)
-    return counter
+    return counter_from_rows(A.omega, A.rows)
 
 
 # Counts frozen from the first verified full enumerations; nothing upstream
@@ -84,7 +90,15 @@ def test_counter_zero_is_identity():
 def test_counter_roundtrip(data):
     omega = dv(*data.draw(st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 1, 2)])))
     c = data.draw(st.integers(0, space_size(omega) - 1))
-    assert counter_from_matrix(matrix_from_counter(omega, c)) == c
+    rows = counter_rows(omega, c)
+    assert counter_from_rows(omega, rows) == c
+    # the sampler's decoding, on every counter, valid or not
+    assert census._counter_rows(omega, c) == list(rows)
+    if is_valid(omega, rows):
+        assert counter_from_matrix(matrix_from_counter(omega, c)) == c
+    else:
+        with pytest.raises(model.InvalidMatrixError):
+            matrix_from_counter(omega, c)
 
 
 def test_enumeration_is_lexicographic():
@@ -97,10 +111,10 @@ def test_enumeration_is_lexicographic():
 def test_enumeration_matches_filtering_definition():
     listed = [compact_matrix(A) for A in enumerate_valid(dv(1, 2))]
     brute = [
-        compact_matrix(A)
+        compact_matrix(ReducedMatrix(dv(1, 2), rows))
         for c in range(space_size(dv(1, 2)))
-        for A in [matrix_from_counter(dv(1, 2), c)]
-        if validate(A).valid
+        for rows in [counter_rows(dv(1, 2), c)]
+        if validate(dv(1, 2), rows).valid
     ]
     assert listed == brute
 
@@ -181,16 +195,17 @@ def test_walk_matches_the_filter(monkeypatch, dims, threads):
     # three CPUs, so the pooled path runs wherever the space reaches 1024
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     verdicts = []
+    real_checked = census._checked
 
-    def recording_is_valid(A):
-        verdicts.append(model.is_valid(A))
-        return verdicts[-1]
+    def recording_checked(omega, rows, fault):
+        verdicts.append(model.is_valid(omega, rows))
+        return real_checked(omega, rows, fault)
 
-    monkeypatch.setattr(census, "is_valid", recording_is_valid)
+    monkeypatch.setattr(census, "_checked", recording_checked)
     omega = DimensionVector(dims)
     walked = [A.rows for A in enumerate_valid(omega, threads=threads)]
     assert walked == [A.rows for A in filter_valid(omega)]
-    # the walk emits no invalid matrix for the guard to drop
+    # every walked matrix passes the guard, and the walk emits no invalid one
     assert len(verdicts) == len(walked) and all(verdicts)
 
 
@@ -261,21 +276,21 @@ def test_sampling_is_seeded_and_valid():
 def test_counter_verdict_matches_the_decoded_matrix(dims):
     omega = DimensionVector(dims)
     for counter in range(space_size(omega)):
-        decoded = matrix_from_counter(omega, counter)
-        assert census.counter_is_valid(omega, counter) == model.is_valid(decoded)
+        decoded = counter_rows(omega, counter)
+        assert census.counter_is_valid(omega, counter) == model.is_valid(omega, decoded)
 
 
 def test_sampler_decodes_only_the_kept_draws(monkeypatch):
     # A refusal decodes no draw: the 10,000 draws of 6,000 bits each over
     # (3000, 3000) are all judged on their counters.
     decoded = []
-    real = census.matrix_from_counter
+    real = census._counter_rows
 
     def counting(omega, counter):
         decoded.append(counter)
         return real(omega, counter)
 
-    monkeypatch.setattr(census, "matrix_from_counter", counting)
+    monkeypatch.setattr(census, "_counter_rows", counting)
     with pytest.raises(BudgetError, match="only 0 of 1"):
         list(sample_valid(dv(3000, 3000), 1))
     assert decoded == []
@@ -474,12 +489,16 @@ def test_records_built_only_for_a_sink_or_a_flag(monkeypatch):
     assert len(built) == 8 + 3 and len(records) == 3
 
 
+def rows_class(omega, rows):
+    """The rows sorted within each block."""
+    return tuple(
+        tuple(sorted(rows[omega.offset(i):omega.offset(i + 1)])) for i in range(omega.k)
+    )
+
+
 def row_class(A):
     """The rows of A sorted within each block."""
-    omega = A.omega
-    return tuple(
-        tuple(sorted(A.rows[omega.offset(i):omega.offset(i + 1)])) for i in range(omega.k)
-    )
+    return rows_class(A.omega, A.rows)
 
 
 def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
@@ -554,15 +573,19 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
 
 
 def test_one_block_relation_per_record_and_no_witness_search(monkeypatch):
-    # Each record's matrix derives its successor masks once, in the walk
-    # guard; require_valid and from_matrix read them back, and the witness
-    # search of validate runs only to name the minor of an invalid matrix.
-    # The memo's sorted members, built on a miss, derive their own.
+    # Each record's matrix derives its successor masks once, in its
+    # constructor; from_matrix reads them back, and the witness search of
+    # validate runs only to name the minor of refused rows.  The memo's
+    # sorted members, built on a miss, derive their own.
     derived, searched, decided, digraphs = [], [], [], []
     real_masks, real_validate = model._block_masks, model.validate
     real_has_spin, real_from_matrix = census.has_spin, census.from_matrix
-    monkeypatch.setattr(model, "_block_masks", lambda A: derived.append(A) or real_masks(A))
-    monkeypatch.setattr(model, "validate", lambda A: searched.append(A) or real_validate(A))
+    monkeypatch.setattr(
+        model, "_block_masks", lambda omega, rows: derived.append(rows) or real_masks(omega, rows)
+    )
+    monkeypatch.setattr(
+        model, "validate", lambda omega, rows: searched.append(rows) or real_validate(omega, rows)
+    )
     monkeypatch.setattr(census, "has_spin", lambda A: decided.append(A) or real_has_spin(A))
     monkeypatch.setattr(
         census, "from_matrix", lambda A: digraphs.append(A) or real_from_matrix(A)
@@ -571,15 +594,15 @@ def test_one_block_relation_per_record_and_no_witness_search(monkeypatch):
     report = crosscheck_spin(dv(1, 2, 2), sink=records.append)
     assert len(records) == report.total_valid == len(decided) == len(digraphs) == 157
     assert [id(A) for A in decided] == [id(A) for A in digraphs]
-    ids = {id(A) for A in decided}
-    own = [id(A) for A in derived if id(A) in ids]
+    ids = {id(A.rows) for A in decided}
+    own = [id(rows) for rows in derived if id(rows) in ids]
     assert len(own) == len(set(own)) == 157
-    members = [A for A in derived if id(A) not in ids]
-    assert len(members) == len({row_class(A) for A in members}) == 80
+    members = [rows for rows in derived if id(rows) not in ids]
+    assert len(members) == len({rows_class(dv(1, 2, 2), rows) for rows in members}) == 80
     assert searched == []
     witness = r"at row selection \(1, 1\), column subset \(1, 2\)$"
     with pytest.raises(model.InvalidMatrixError, match=witness):
-        model.require_valid(ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]]))
+        ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])
     assert len(searched) == 1
 
 

@@ -269,8 +269,8 @@ def test_closed_forms_equal_the_raw_expansion_on_seeded_matrices():
     assert cases == 1200
 
 
-def test_closed_w1_needs_no_validation_pass():
-    singular = ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])
-    assert closed_coefficients(singular, 1).entries == {(0,): 1, (1,): 1}
+def test_closed_w1_has_no_singular_matrix_to_read():
+    # No manifold stands behind a singular matrix, so closed_coefficients
+    # is never asked for its w_1: the matrix cannot be built.
     with pytest.raises(InvalidMatrixError):
-        closed_coefficients(singular, 2)
+        ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])

@@ -8,6 +8,7 @@ from spincover import (
     DimensionVector,
     DigraphFormatError,
     InvalidMatrixError,
+    ReducedMatrix,
     WeightedDigraph,
     common_source_sum,
     conjugate_by_permutation,
@@ -25,7 +26,7 @@ from spincover import (
     weighted_in_degree,
 )
 from spincover import digraph, model
-from conftest import DATA, dv, seeded_matrices
+from conftest import DATA, dv, seeded_candidates, seeded_matrices
 
 
 
@@ -69,14 +70,15 @@ def test_roundtrip_everywhere():
 
 def test_from_matrix_reads_every_nonzero_block_and_inverts_to_matrix():
     # from_matrix reads the weights off the kept successor masks and columns;
-    # against A.block over every off-diagonal block, and a refusal for every
-    # invalid matrix.
-    for A in seeded_matrices():
-        k = A.omega.k
-        if not is_valid(A):
+    # against A.block over every off-diagonal block.  An invalid candidate
+    # is refused before it is a matrix, so it never reaches from_matrix.
+    for omega, rows in seeded_candidates():
+        if not is_valid(omega, rows):
             with pytest.raises(InvalidMatrixError):
-                from_matrix(A)
+                ReducedMatrix(omega, rows)
             continue
+        A = ReducedMatrix(omega, rows)
+        k = A.omega.k
         G = from_matrix(A)
         assert G.edges == {
             (i, j): A.block(i, j)
@@ -91,7 +93,7 @@ def test_spin_digraph_reads_the_weighted_in_degrees():
     # has_spin_digraph sums the in-degrees in one pass over the edges; its
     # orientability and its condition-i verdict must be those of
     # weighted_in_degree at every vertex.
-    for A in filter(is_valid, seeded_matrices()):
+    for A in seeded_matrices():
         G, omega = from_matrix(A), A.omega
         indeg = [weighted_in_degree(G, v) for v in range(omega.k)]
         report = has_spin_digraph(G)

@@ -1,6 +1,8 @@
 """The three deciders stay independent in the import graph: the digraph
 decider and the ring oracle read only the model, and the closed forms read
-the model plus the oracle's polynomial type and monomial order."""
+the model plus the oracle's polynomial type and monomial order.  Validity
+stays owned by the model: a ReducedMatrix is valid by construction, so no
+other module checks it or reads the masks its constructor keeps."""
 
 import ast
 from pathlib import Path
@@ -62,3 +64,53 @@ def test_closedform_imports_the_model_and_only_two_oracle_names():
     found = imports_of("closedform")
     assert {m for m, _ in found} == {"model", "oracle"}
     assert {n for m, n in found if m == "oracle"} <= {"GradedPolynomial", "monomials_of_degree"}
+
+
+# The model's validity checks, the guard that validation once was, and the
+# successor masks that the constructor keeps.
+VALIDITY_NAMES = {"is_valid", "validate", "require_valid", "_succ"}
+# Imports that only hold a name: the package re-exports the two checks, and
+# cli and census bind `validate` unused because perfbench's tracer test reads
+# it there.
+HELD = {"__init__": {"is_valid", "validate"}, "cli": {"validate"}, "census": {"validate"}}
+
+
+def named(text: str) -> tuple[set[str], set[str]]:
+    """The names a module's source uses (as a variable, an attribute, a
+    definition or an exact string) and the names it imports, under any
+    alias."""
+    used, imported = set(), set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        elif isinstance(node, ast.alias):
+            imported.add(node.name)
+    return used, imported
+
+
+def test_named_reads_every_form():
+    text = (
+        "from .model import validate as check, is_valid\n"
+        "x = A._succ\ny = getattr(A, 'require_valid')\n"
+        "def f(A):\n    return check(A)\n"
+    )
+    used, imported = named(text)
+    assert {"_succ", "require_valid", "check", "f", "getattr"} <= used
+    assert imported == {"validate", "is_valid"}
+
+
+def test_only_the_model_checks_validity():
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.stem for p in modules} >= {"model", "census", "cli", "closedform", "digraph"}
+    for path in modules:
+        if path.stem == "model":
+            continue
+        used, imported = named(path.read_text(encoding="utf-8"))
+        assert not used & VALIDITY_NAMES, (path.stem, used & VALIDITY_NAMES)
+        assert imported & VALIDITY_NAMES <= HELD.get(path.stem, set()), path.stem

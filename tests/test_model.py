@@ -24,15 +24,18 @@ from spincover import (
     space_size,
     validate,
 )
-from spincover.model import block_successors, is_cyclic, reach, require_valid
+from spincover.model import _block_masks, bit_string, block_successors, is_cyclic, reach
 from spincover.census import compact_matrix
 from conftest import (
     columns_bitwise,
+    counter_rows,
     det_rows,
     dv,
+    perfbench_common,
     principal_minors_all_one,
     reaches_itself,
-    seeded_matrices,
+    row_ints,
+    seeded_candidates,
     serialize_bitwise,
 )
 
@@ -67,7 +70,6 @@ def normalize_upper_triangular(A):
     blocks are ordered topologically under i -> j iff v_ij != 0, which is
     acyclic exactly because the matrix is valid.
     """
-    require_valid(A)
     k = A.omega.k
     arcs = [(i, j) for i, m in enumerate(block_successors(A)) for j in range(k) if (m >> j) & 1]
     order = topological_order(k, arcs)
@@ -113,12 +115,12 @@ def test_column_ints_are_built_on_first_use(spin_235):
 
 
 def test_count_table_matches_k_count():
-    # on valid and invalid matrices alike: the table needs no validity
+    # on seeded valid matrices of up to 8 factors
     rng = random.Random(12)
     for _ in range(300):
         dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
         omega = dv(*dims)
-        A = ReducedMatrix(omega, [rng.randrange(1 << omega.k) for _ in range(omega.n)])
+        A = ReducedMatrix(omega, perfbench_common().random_valid_matrix(rng, dims))
         assert A._dots is None
         if rng.random() < 0.5:
             assert A.self_dots() == tuple(A.k_count([i]) for i in range(omega.k))
@@ -179,9 +181,10 @@ def test_columns_dot_all_ones_diagonal():
 
 
 def test_validate_identity_and_dependent_pair():
+    assert validate(dv(1, 1), [0b01, 0b10]).valid
+    # a built matrix is valid by construction, and validate(A) says so
     assert validate(identity_matrix(dv(1, 1))).valid
-    bad = ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])
-    report = validate(bad)
+    report = validate(dv(1, 1), [0b11, 0b11])
     assert not report.valid
     assert report.failing_selection == (0, 0)
     assert report.failing_subset == frozenset({0, 1})
@@ -193,38 +196,39 @@ def test_validate_fixture(spin_235):
 
 def test_block_successors_read_blocks_and_diagonals():
     # off-diagonal arcs both ways, a loop where v_22 = (0, 1) is not all ones
-    A = ReducedMatrix.from_rows((1, 2), [[1, 1], [1, 0], [1, 1]])
-    assert block_successors(A) == [0b10, 0b11]
-    assert block_successors(identity_matrix(dv(2, 1, 3))) == [0, 0, 0]
+    assert _block_masks(dv(1, 2), row_ints([[1, 1], [1, 0], [1, 1]])) == (0b10, 0b11)
+    ident = identity_matrix(dv(2, 1, 3))
+    assert block_successors(ident) == (0, 0, 0)
+    assert block_successors(ident) is block_successors(ident)
 
 
 def test_derived_columns_and_successors_match_their_definitions():
-    # columns() scatters the set bits of each row and block_successors keeps
-    # its masks on the matrix; both against entry-by-entry definitions, on
-    # valid and invalid matrices, cold and warm, and the list handed out is
-    # the caller's to change.
-    cases = seeded_matrices()
-    assert {is_valid(A) for A in cases} == {True, False}
-    for A in cases:
-        A = ReducedMatrix(A.omega, A.rows)
-        omega = A.omega
-        assert A.columns() == columns_bitwise(A) == A.columns()
-        want = [
+    # The block successor masks against their entry-by-entry definition on
+    # valid and invalid candidates; on the valid ones, columns() scatters
+    # the set bits of each row, cold and warm, and block_successors hands
+    # out the constructor's masks, kept on the matrix as a tuple.
+    cases = seeded_candidates()
+    assert {is_valid(omega, rows) for omega, rows in cases} == {True, False}
+    for omega, rows in cases:
+        want = tuple(
             sum(
                 1 << j
                 for j in range(omega.k)
                 if any(
-                    ((A.rows[t] >> j) & 1) != (i == j)
+                    ((rows[t] >> j) & 1) != (i == j)
                     for t in range(omega.offset(i), omega.offset(i + 1))
                 )
             )
             for i in range(omega.k)
-        ]
+        )
+        assert _block_masks(omega, rows) == want
+        if not is_valid(omega, rows):
+            continue
+        A = ReducedMatrix(omega, rows)
+        assert A.columns() == columns_bitwise(A) == A.columns()
         first = block_successors(A)
-        assert type(first) is list and first == want
-        first[0] ^= 1
-        first.append(0)
-        assert block_successors(A) == want
+        assert type(first) is tuple and first == want
+        assert block_successors(A) is first
 
 
 def test_reach_names_the_vertices_on_a_cycle_like_the_reference():
@@ -242,25 +246,30 @@ def test_reach_names_the_vertices_on_a_cycle_like_the_reference():
         ]
 
 
-def successors_by_rows(A):
+def successors_by_rows(omega, rows):
     """The definition of the block relation: block i's mask is the union of
     its rows, each read with bit i flipped, so a clear diagonal entry is a loop."""
     out = []
-    for i in range(A.omega.k):
+    for i in range(omega.k):
         mask = 0
-        for t in range(A.omega.offset(i), A.omega.offset(i + 1)):
-            mask |= A.rows[t] ^ (1 << i)
+        for t in range(omega.offset(i), omega.offset(i + 1)):
+            mask |= rows[t] ^ (1 << i)
         out.append(mask)
-    return out
+    return tuple(out)
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (2, 3)])
+EVERY_MATRIX_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("dims", EVERY_MATRIX_FAMILIES)
 def test_one_pass_masks_equal_the_union_of_the_rows_on_every_matrix(dims):
-    # Every n x k 0/1 matrix, valid or not, with its diagonal blocks free too.
+    # Every n x k 0/1 matrix, valid or not, with its diagonal blocks free too;
+    # a valid one keeps the masks its constructor derived.
     omega = DimensionVector(dims)
     for rows in itertools.product(range(1 << omega.k), repeat=omega.n):
-        A = ReducedMatrix(omega, rows)
-        assert block_successors(A) == successors_by_rows(A), rows
+        assert _block_masks(omega, rows) == successors_by_rows(omega, rows), rows
+        if is_valid(omega, rows):
+            assert block_successors(ReducedMatrix(omega, rows)) == successors_by_rows(omega, rows)
 
 
 def test_one_pass_masks_equal_the_union_of_the_rows_on_random_matrices():
@@ -268,8 +277,8 @@ def test_one_pass_masks_equal_the_union_of_the_rows_on_random_matrices():
     for _ in range(2000):
         dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
         omega = DimensionVector(dims)
-        A = ReducedMatrix(omega, [rng.getrandbits(omega.k) for _ in range(omega.n)])
-        assert block_successors(A) == successors_by_rows(A), (dims, A.rows)
+        rows = [rng.getrandbits(omega.k) for _ in range(omega.n)]
+        assert _block_masks(omega, rows) == successors_by_rows(omega, rows), (dims, rows)
 
 
 def reaches_itself_somewhere(succ):
@@ -291,24 +300,48 @@ def test_kahn_peel_finds_a_cycle_exactly_when_a_vertex_reaches_itself():
         assert is_cyclic(succ) == reaches_itself_somewhere(succ), succ
 
 
-def _selection_rows(A, selection):
+def _selection_rows(omega, rows, selection):
     """Row ints of the k x k matrix picking row selection[i] of block-row i."""
-    return [A.rows[A.omega.offset(i) + li] for i, li in enumerate(selection)]
+    return [rows[omega.offset(i) + li] for i, li in enumerate(selection)]
 
 
-def _definitional_report(A):
+def _definitional_report(omega, rows):
     """The definition of validity, kept apart from `validate`: scan the row
     selections, then the principal subsets, in lexicographic order and report
     the first vanishing minor."""
-    k = A.omega.k
-    for selection in itertools.product(*(range(d) for d in A.omega.dims)):
-        rows = _selection_rows(A, selection)
+    k = omega.k
+    for selection in itertools.product(*(range(d) for d in omega.dims)):
+        square = _selection_rows(omega, rows, selection)
         for size in range(1, k + 1):
             for subset in itertools.combinations(range(k), size):
                 mask = sum(1 << c for c in subset)
-                if det_rows([rows[r] for r in subset], mask) != 1:
+                if det_rows([square[r] for r in subset], mask) != 1:
                     return ValidityReport(False, selection, frozenset(subset))
     return ValidityReport(True)
+
+
+@pytest.mark.parametrize("dims", EVERY_MATRIX_FAMILIES)
+def test_the_constructor_refuses_exactly_the_invalid_candidates(dims):
+    # Every n x k 0/1 matrix, diagonal blocks free: the constructor builds
+    # exactly the candidates whose principal minors are all 1, and refuses
+    # the rest naming the definition's first vanishing minor, one-based.
+    omega = DimensionVector(dims)
+    refused = 0
+    for rows in itertools.product(range(1 << omega.k), repeat=omega.n):
+        report = _definitional_report(omega, rows)
+        if report.valid:
+            assert ReducedMatrix(omega, rows).rows == rows
+            continue
+        sel = tuple(x + 1 for x in report.failing_selection)
+        sub = tuple(sorted(x + 1 for x in report.failing_subset))
+        with pytest.raises(InvalidMatrixError) as exc:
+            ReducedMatrix(omega, rows)
+        assert str(exc.value) == (
+            f"not a characteristic matrix; principal minor vanishes "
+            f"at row selection {sel}, column subset {sub}"
+        ), rows
+        refused += 1
+    assert 0 < refused < 1 << omega.n * omega.k
 
 
 @pytest.mark.parametrize(
@@ -318,18 +351,19 @@ def test_is_valid_matches_principal_minors_on_every_candidate(dims):
     omega = DimensionVector(dims)
     selections = list(itertools.product(*(range(d) for d in dims)))
     for counter in range(space_size(omega)):
-        A = matrix_from_counter(omega, counter)
+        rows = counter_rows(omega, counter)
         expected = all(
-            principal_minors_all_one(_selection_rows(A, sel)) for sel in selections
+            principal_minors_all_one(_selection_rows(omega, rows, sel)) for sel in selections
         )
-        assert is_valid(A) == expected, (dims, counter)
+        assert is_valid(omega, rows) == expected, (dims, counter)
 
 
 @st.composite
-def any_matrices(draw):
-    """Matrices with every entry free, diagonal blocks included.  Half of them
-    are first pushed towards an acyclic block relation under a drawn order,
-    so valid matrices and matrices with one late cycle show up too."""
+def any_candidates(draw):
+    """Candidates (omega, rows) with every entry free, diagonal blocks
+    included.  Half of them are first pushed towards an acyclic block
+    relation under a drawn order, so valid matrices and matrices with one
+    late cycle show up too."""
     dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     k, n = len(dims), sum(dims)
     rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
@@ -343,13 +377,13 @@ def any_matrices(draw):
                     rows[r] &= ~(1 << j)
         if draw(st.booleans()):
             rows[draw(st.integers(0, n - 1))] |= draw(st.integers(0, (1 << k) - 1))
-    return ReducedMatrix(DimensionVector(tuple(dims)), rows)
+    return DimensionVector(tuple(dims)), rows
 
 
 @settings(deadline=None)
-@given(any_matrices())
-def test_validate_matches_the_definition_with_its_witness(A):
-    assert validate(A) == _definitional_report(A)
+@given(any_candidates())
+def test_validate_matches_the_definition_with_its_witness(candidate):
+    assert validate(*candidate) == _definitional_report(*candidate)
 
 
 def test_validate_of_a_valid_matrix_computes_no_determinant():
@@ -357,11 +391,10 @@ def test_validate_of_a_valid_matrix_computes_no_determinant():
     # decided by acyclicity, and the determinant lives only in conftest
     k = 6
     # block-row i carries ones in columns i..k-1: unitriangular, so valid
+    omega = dv(*(2,) * k)
     rows = [[int(j >= i) for j in range(k)] for i in range(k) for _ in range(2)]
-    A = ReducedMatrix.from_rows((2,) * k, rows)
-    assert validate(A).valid
-    B = ReducedMatrix.from_rows((2,) * k, [[1] * k] * (2 * k))
-    assert not validate(B).valid
+    assert validate(omega, row_ints(rows)).valid
+    assert not validate(omega, row_ints([[1] * k] * (2 * k))).valid
 
 
 def test_validity_report_consistency():
@@ -371,11 +404,14 @@ def test_validity_report_consistency():
         ValidityReport(valid=False, failing_selection=None, failing_subset=None)
 
 
-def test_require_valid_message_is_one_based():
-    bad = ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])
+def test_the_refusal_message_is_one_based():
+    # the matrix 1 1 / 11 / 11: both factors reach each other
     with pytest.raises(InvalidMatrixError) as exc:
-        elementary_component(bad, 0, 1)
-    assert "(1, 1)" in str(exc.value)
+        ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])
+    assert str(exc.value) == (
+        "not a characteristic matrix; principal minor vanishes "
+        "at row selection (1, 1), column subset (1, 2)"
+    )
 
 
 def test_identity_matrix_blocks():
@@ -468,7 +504,8 @@ def test_elementary_component_rejects_bad_pairs(torus):
 def test_elementary_components_stay_valid(dims):
     for A in enumerate_valid(DimensionVector(dims)):
         for i, j in itertools.combinations(range(len(dims)), 2):
-            assert is_valid(elementary_component(A, i, j))
+            C = elementary_component(A, i, j)
+            assert is_valid(C.omega, C.rows)
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -485,8 +522,7 @@ def test_serialize_matches_the_bitwise_formatter():
     rng = random.Random(5)
     for _ in range(300):
         dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
-        omega = dv(*dims)
-        A = ReducedMatrix(omega, [rng.randrange(1 << omega.k) for _ in range(omega.n)])
+        A = ReducedMatrix(dv(*dims), perfbench_common().random_valid_matrix(rng, dims))
         text = serialize_matrix(A)
         assert text == serialize_bitwise(A)
         assert compact_matrix(A) == "/".join(text.splitlines()[1:])
@@ -497,8 +533,15 @@ def test_serialize_matches_the_bitwise_formatter():
 def test_roundtrip_on_random_candidates(dims, data):
     omega = DimensionVector(dims)
     counter = data.draw(st.integers(0, space_size(omega) - 1))
-    A = matrix_from_counter(omega, counter)
-    assert parse_matrix(serialize_matrix(A)) == A
+    rows = counter_rows(omega, counter)
+    if is_valid(omega, rows):
+        A = matrix_from_counter(omega, counter)
+        assert parse_matrix(serialize_matrix(A)) == A
+    else:
+        # the text of the candidate parses, and the constructor refuses it
+        lines = [" ".join(map(str, dims))] + [bit_string(r, omega.k) for r in rows]
+        with pytest.raises(InvalidMatrixError):
+            parse_matrix("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(
