@@ -3,10 +3,9 @@
 The off-diagonal entries of a candidate matrix are packed into a counter:
 block-rows ascending, then columns, then bits, with the first position most
 significant, so counting up walks the assignments in lexicographic order.
-Only the valid ones, those with an acyclic block relation, are walked.  Workers
-walk contiguous slices of the first block-row, spliced back in slice order, so
-the output is identical for any worker count.  A run computes the oracle part
-of its census records once per row-order class (see `class_memo`).
+Only the valid ones, those with an acyclic block relation, are walked, in one
+process.  A run computes the oracle part of its census records once per
+row-order class (see `class_memo`).
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .closedform import (
     closed_coefficients,
@@ -132,9 +130,8 @@ def counter_is_valid(omega: DimensionVector, counter: int) -> bool:
     return not is_cyclic(succ)
 
 
-def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    """Rows of the valid matrices whose first block-row, as its part of the
-    counter, lies in [start, stop); in counter order.  Block-row i holds the
+def _walk(omega: DimensionVector) -> Iterator[tuple[int, ...]]:
+    """Rows of the valid matrices, in counter order.  Block-row i holds the
     arcs out of vertex i: it is zero in every column j that already reaches i
     through block-rows 0..i-1 and counts up through the submasks of the rest.
     Later block-rows are still zero, so every branch ends in a valid matrix.
@@ -147,10 +144,11 @@ def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, 
         layout[omega.offset(i) * (k - 1):omega.offset(i + 1) * (k - 1)][::-1] for i in range(k)
     ]
 
-    def extend(i: int, reach: list[int], x: int, stop: int) -> Iterator[tuple[int, ...]]:
+    def extend(i: int, reach: list[int]) -> Iterator[tuple[int, ...]]:
         off, d, mine = omega.offset(i), omega[i], cells[i]
         free = sum(1 << b for b, (_, j) in enumerate(mine) if not (reach[j] >> i) & 1)
-        while x < stop:
+        x = 0
+        while True:
             rows[off:off + d] = [1 << i] * d
             out, bits = 0, x
             while bits:
@@ -164,45 +162,18 @@ def _walk(omega: DimensionVector, start: int, stop: int) -> Iterator[tuple[int, 
             else:
                 after = [r | out if (r >> i) & 1 else r for r in reach]
                 after[i] = out
-                yield from extend(i + 1, after, 0, 1 << len(layout))
+                yield from extend(i + 1, after)
             if x == free:
                 return
             x = (x - free) & free
 
-    yield from extend(0, [0] * k, start, stop)
+    yield from extend(0, [0] * k)
 
 
-def Pool(processes: int):
-    """multiprocessing.Pool, imported only when a pool starts."""
-    from multiprocessing import Pool
-
-    return Pool(processes)
-
-
-def _walk_slice(args: tuple[DimensionVector, int, int]) -> list[tuple[int, ...]]:
-    return list(_walk(*args))
-
-
-def enumerate_valid(
-    omega: DimensionVector,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> Iterator[ReducedMatrix]:
-    """All valid matrices over omega, ascending in the counter order.
-
-    At most one worker process per CPU is started, whatever `threads` asks.
-    """
+def enumerate_valid(omega: DimensionVector, budget: int = DEFAULT_BUDGET) -> Iterator[ReducedMatrix]:
+    """All valid matrices over omega, ascending in the counter order."""
     check_budget(omega, budget)
-    threads = min(threads, os.cpu_count() or 1)
-    first = 1 << (omega[0] * (omega.k - 1))
-    if threads <= 1 or omega.n * (omega.k - 1) < 10:
-        found: Iterable[tuple[int, ...]] = _walk(omega, 0, first)
-    else:
-        bounds = [first * t // threads for t in range(threads + 1)]
-        jobs = [(omega, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with Pool(processes=len(jobs)) as pool:
-            found = itertools.chain.from_iterable(pool.map(_walk_slice, jobs))
-    for rows in found:
+    for rows in _walk(omega):
         yield _checked(omega, rows, "the walk yielded an invalid matrix")
 
 
@@ -397,7 +368,6 @@ def run_family(
     sample: Optional[int] = None,
     seed: int = DEFAULT_SEED,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     sink: Sink = None,
 ) -> DiscrepancyReport:
     """Run `check` on every valid matrix of the family, or on `sample` seeded draws.
@@ -410,7 +380,7 @@ def run_family(
     from a `class_memo` that lives for this run only.
     """
     if sample is None:
-        matrices = enumerate_valid(omega, budget=budget, threads=threads)
+        matrices = enumerate_valid(omega, budget=budget)
     else:
         matrices = sample_valid(omega, sample, seed=seed, budget=budget)
     counts = dict.fromkeys(keys, 0)
@@ -461,7 +431,6 @@ def _spin_check(A: ReducedMatrix, rec: Optional[CensusRecord]) -> Verdict:
 def crosscheck_spin(
     omega: DimensionVector,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     sink: Sink = None,
 ) -> DiscrepancyReport:
     """Compare the matrix, digraph and oracle Spin deciders on every valid A.
@@ -470,7 +439,7 @@ def crosscheck_spin(
     is exactly Spin when no factor is an interval.
     """
     keys = ("orientable", "spin")
-    return run_family(omega, keys, _spin_check, budget=budget, threads=threads, sink=sink)
+    return run_family(omega, keys, _spin_check, budget=budget, sink=sink)
 
 
 def _w_check(m: int, A: ReducedMatrix, _rec: object) -> Verdict:
@@ -494,7 +463,6 @@ def crosscheck_w(
     sample: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     sink: Sink = None,
 ) -> DiscrepancyReport:
     """Check the degree-m closed form against the raw expansion and oracle.
@@ -511,9 +479,7 @@ def crosscheck_w(
     if any(d < m for d in omega.dims):
         raise ValueError(f"every factor dimension must be at least {m}")
     check = functools.partial(_w_check, m)
-    return run_family(
-        omega, ("vanish",), check, sample=sample, seed=seed, budget=budget, threads=threads, sink=sink
-    )
+    return run_family(omega, ("vanish",), check, sample=sample, seed=seed, budget=budget, sink=sink)
 
 
 def _elementary_check(A: ReducedMatrix, _rec: object) -> Verdict:
@@ -533,14 +499,13 @@ def _elementary_check(A: ReducedMatrix, _rec: object) -> Verdict:
 def verify_elementary(
     omega: DimensionVector,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     sink: Sink = None,
 ) -> DiscrepancyReport:
     """Spin of A vs the conjunction of Spin over its elementary components."""
     if omega.k < 2:
         raise ValueError("needs at least two factors")
     keys = ("spin", "component-invalid")
-    return run_family(omega, keys, _elementary_check, budget=budget, threads=threads, sink=sink)
+    return run_family(omega, keys, _elementary_check, budget=budget, sink=sink)
 
 
 def _conjecture_check(t: int, reading: str, A: ReducedMatrix, _rec: object) -> Verdict:
@@ -558,7 +523,6 @@ def verify_conjecture(
     sample: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     sink: Sink = None,
 ) -> DiscrepancyReport:
     """Conjectured congruences vs oracle vanishing of the low classes.
@@ -573,6 +537,4 @@ def verify_conjecture(
         raise ValueError(f"every factor dimension must be at least {2**t}")
     check = functools.partial(_conjecture_check, t, reading)
     keys = ("predicate", "oracle-vanish")
-    return run_family(
-        omega, keys, check, sample=sample, seed=seed, budget=budget, threads=threads, sink=sink
-    )
+    return run_family(omega, keys, check, sample=sample, seed=seed, budget=budget, sink=sink)

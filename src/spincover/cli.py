@@ -266,7 +266,13 @@ def _report_exit(report: DiscrepancyReport, as_json: bool, extra: dict) -> None:
 _COMMON = [
     click.option("--omega", "omega_text", required=True, help="Comma-separated factor dimensions."),
     click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True),
-    click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True),
+    click.option(
+        "--threads",
+        type=click.IntRange(min=1),
+        default=1,
+        expose_value=False,
+        help="Accepted and ignored: a family runs in one process.",
+    ),
     click.option("--census", "census_path", type=click.Path(dir_okay=False), default=None),
     click.option("--json", "as_json", is_flag=True, help="Emit one JSON object."),
 ]
@@ -285,11 +291,9 @@ def _no_check(A: ReducedMatrix, rec: object) -> tuple[list[str], tuple[()]]:
 
 @main.command(name="enumerate")
 @_common
-def enumerate_cmd(
-    omega_text: str, budget: int, threads: int, census_path: Optional[str], as_json: bool
-) -> None:
+def enumerate_cmd(omega_text: str, budget: int, census_path: Optional[str], as_json: bool) -> None:
     """Enumerate the valid matrices of a family, optionally writing a census."""
-    driver = functools.partial(run_family, keys=(), check=_no_check, budget=budget, threads=threads)
+    driver = functools.partial(run_family, keys=(), check=_no_check, budget=budget)
     report = _run_family(omega_text, census_path, DEFAULT_SEED, budget, driver)
     space, valid = report.total_enumerated, report.total_valid
     obj = {"omega": list(report.omega), "space": space, "valid": valid}
@@ -323,7 +327,6 @@ _SAMPLED = ("w3", "w4")
 def verify(
     omega_text: str,
     budget: int,
-    threads: int,
     census_path: Optional[str],
     as_json: bool,
     what: str,
@@ -334,7 +337,7 @@ def verify(
     if sample is not None and what not in _SAMPLED:
         _fail(EXIT_INPUT, "--sample applies only to w3/w4 checks")
     extra = {"sample": sample, "seed": seed} if what in _SAMPLED else {}
-    driver = functools.partial(_VERIFY[what], budget=budget, threads=threads, **extra)
+    driver = functools.partial(_VERIFY[what], budget=budget, **extra)
     report = _run_family(omega_text, census_path, seed, budget, driver)
     _report_exit(report, as_json, {"check": what})
 
@@ -353,7 +356,6 @@ def verify(
 def conjecture(
     omega_text: str,
     budget: int,
-    threads: int,
     census_path: Optional[str],
     as_json: bool,
     t: int,
@@ -363,13 +365,7 @@ def conjecture(
 ) -> None:
     """Compare the conjectured congruences with oracle class vanishing."""
     driver = functools.partial(
-        verify_conjecture,
-        t=t,
-        reading=reading,
-        sample=sample,
-        budget=budget,
-        seed=seed,
-        threads=threads,
+        verify_conjecture, t=t, reading=reading, sample=sample, budget=budget, seed=seed
     )
     report = _run_family(omega_text, census_path, seed, budget, driver)
     _report_exit(report, as_json, {"t": t, "reading": reading})

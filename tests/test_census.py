@@ -149,38 +149,6 @@ def test_budget_refuses_a_huge_space_without_building_it():
     assert (exc.value.space, exc.value.budget) == (0, 2**24)
 
 
-def test_worker_count_does_not_change_output():
-    single = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=1)]
-    pooled = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=3)]
-    assert single == pooled
-    assert len(single) == 157
-
-
-@pytest.mark.parametrize("cpus, processes", [(2, [2]), (None, [])])
-def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, processes):
-    started = []
-
-    class FakePool:
-        # runs the jobs in this process and records the pool size asked for
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(census, "Pool", FakePool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
-    capped = [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2), threads=100000)]
-    assert started == processes
-    assert capped == [compact_matrix(A) for A in enumerate_valid(dv(1, 2, 2))]
-
-
 WALK_FAMILIES = [
     dims
     for k in range(1, 5)
@@ -192,56 +160,33 @@ WALK_FAMILIES = [
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("dims", WALK_FAMILIES)
 def test_walk_matches_the_filter(monkeypatch, dims, threads):
-    # three CPUs, so the pooled path runs wherever the space reaches 1024
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
-    verdicts = []
+    # `enumerate --threads N` walks in one process whatever N is, so the
+    # guard sees the walk's rows in walk order
+    walked, verdicts = [], []
     real_checked = census._checked
 
     def recording_checked(omega, rows, fault):
+        walked.append(tuple(rows))
         verdicts.append(model.is_valid(omega, rows))
         return real_checked(omega, rows, fault)
 
     monkeypatch.setattr(census, "_checked", recording_checked)
     omega = DimensionVector(dims)
-    walked = [A.rows for A in enumerate_valid(omega, threads=threads)]
+    args = ["enumerate", "--omega", ",".join(map(str, dims)), "--threads", str(threads)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"space: {space_size(omega)}, valid: {len(walked)}\n"
     assert walked == [A.rows for A in filter_valid(omega)]
     # every walked matrix passes the guard, and the walk emits no invalid one
-    assert len(verdicts) == len(walked) and all(verdicts)
+    assert all(verdicts)
 
 
 def test_the_walk_guard_refuses_an_invalid_matrix(monkeypatch):
     # A walk that ever yields a cyclic matrix is a bug in the walk: the guard
     # names the rows instead of dropping the matrix from the count.
-    monkeypatch.setattr(census, "_walk", lambda omega, start, stop: iter([(0b11, 0b11)]))
+    monkeypatch.setattr(census, "_walk", lambda omega: iter([(0b11, 0b11)]))
     with pytest.raises(RuntimeError, match="rows 11/11$"):
         list(enumerate_valid(dv(1, 1)))
-
-
-def test_pooled_slices_splice_into_the_serial_walk(monkeypatch):
-    jobs = []
-
-    class RecordingPool:
-        # runs the jobs in this process and records their slices
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            jobs.extend(args)
-            return [fn(job) for job in args]
-
-    monkeypatch.setattr(census, "Pool", RecordingPool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
-    omega = dv(2, 2, 2)
-    pooled = [A.rows for A in enumerate_valid(omega, threads=3)]
-    # the first block-row has 16 assignments, which split 5/5/6
-    assert [stop - start for _, start, stop in jobs] == [5, 5, 6]
-    assert pooled == [A.rows for A in enumerate_valid(omega, threads=1)]
 
 
 @pytest.mark.parametrize("dims", sorted(FAMILY_COUNTS))
@@ -432,7 +377,8 @@ def test_spin_check_reads_the_record_as_its_own_deciders_would(dims):
 
 def test_every_check_pickles_and_gives_the_same_result(monkeypatch):
     # The checks the drivers hand to run_family, the bound partials included,
-    # survive a round trip through pickle, as a worker would receive them.
+    # are module-level functions: they survive a round trip through pickle,
+    # and each gives one value per count key.
     checks = []
 
     def capture(omega, keys, check, **kwargs):

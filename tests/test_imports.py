@@ -2,7 +2,8 @@
 decider and the ring oracle read only the model, and the closed forms read
 the model plus the oracle's polynomial type and monomial order.  Validity
 stays owned by the model: a ReducedMatrix is valid by construction, so no
-other module checks it or reads the masks its constructor keeps."""
+other module checks it or reads the masks its constructor keeps.  Every run
+stays in one process: no module imports a process or thread pool."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,33 @@ def test_only_the_model_checks_validity():
         used, imported = named(path.read_text(encoding="utf-8"))
         assert not used & VALIDITY_NAMES, (path.stem, used & VALIDITY_NAMES)
         assert imported & VALIDITY_NAMES <= HELD.get(path.stem, set()), path.stem
+
+
+# Standard modules that start processes or threads.
+CONCURRENCY = {"multiprocessing", "concurrent", "threading"}
+
+
+def top_level_imports(text: str) -> set[str]:
+    """The top-level name of every absolute import in a module's source, at
+    any depth of the tree, a function body included."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
+def test_top_level_imports_reads_every_form():
+    text = (
+        "import os.path\nfrom typing import Optional\nfrom .model import ReducedMatrix\n"
+        "def Pool(n):\n    from multiprocessing import Pool\n    return Pool(n)\n"
+        "class C:\n    def f(self):\n        import concurrent.futures as cf\n"
+    )
+    assert top_level_imports(text) == {"os", "typing", "multiprocessing", "concurrent"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_a_process_or_thread_pool(path):
+    assert not top_level_imports(path.read_text(encoding="utf-8")) & CONCURRENCY
