@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import DimensionVector, ReducedMatrix, SpinReport
+from .model import DimensionVector, ReducedMatrix, SpinReport, spin_verdict
 from .oracle import GradedPolynomial, monomials_of_degree
 
 MultiIndex = tuple[int, ...]
@@ -99,7 +99,7 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
     orientable = all([d % 2 == 1 for d in single])
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:
-        return SpinReport(orientable, False, tag, witness)
+        return spin_verdict(orientable, False, tag, witness)
 
     for i in range(k):
         if dims[i] == 1:
@@ -125,7 +125,7 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
             half = vab * (single[a] + 1) // 2
             if pair[a][b] % 2 != half % 2:
                 return report("iv", (a, b))
-    return SpinReport(orientable, True)
+    return spin_verdict(orientable, True)
 
 
 def spin_sufficient(A: ReducedMatrix) -> bool:

@@ -19,9 +19,10 @@ from .model import (
     SpinReport,
     bit_string,
     block_successors,
+    cycle_vertices,
     identity_rows,
     is_cyclic,
-    reach,
+    spin_verdict,
 )
 
 
@@ -61,7 +62,7 @@ class WeightedDigraph:
                 clean[(i, j)] = w
                 succ[i] |= 1 << j
         if is_cyclic(succ):
-            on_cycle = [v + 1 for v, r in enumerate(reach(succ)) if (r >> v) & 1]
+            on_cycle = [v + 1 for v in cycle_vertices(succ)]
             raise CyclicDigraphError(f"directed cycle through vertices {on_cycle}")
         self.omega = omega
         self.edges = clean
@@ -89,7 +90,11 @@ class WeightedDigraph:
 
 
 def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
-    """Digraph with adjacency matrix A - I_omega, read off A's columns."""
+    """Digraph with adjacency matrix A - I_omega, read off A's columns.
+
+    It is built without the checks of the `WeightedDigraph` constructor: the
+    edges of a `ReducedMatrix` are in range, loop-free and nonzero, each
+    weight is masked to its block, and A's constructor found them acyclic."""
     cols, dims, offsets = A.columns(), A.omega.dims, A.omega._block_offsets
     edges = {}
     for i, succ in enumerate(block_successors(A)):
@@ -98,7 +103,9 @@ def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
             j = (succ & -succ).bit_length() - 1
             edges[(i, j)] = (cols[j] >> off) & mask
             succ &= succ - 1
-    return WeightedDigraph(A.omega, edges)
+    G = object.__new__(WeightedDigraph)
+    G.omega, G.edges = A.omega, edges
+    return G
 
 
 def to_matrix(G: WeightedDigraph) -> ReducedMatrix:
@@ -151,7 +158,7 @@ def has_spin_digraph(G: WeightedDigraph) -> SpinReport:
     orientable = all([(indeg[v] + dims[v]) % 2 == 1 for v in range(k)])
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:
-        return SpinReport(orientable, False, tag, witness)
+        return spin_verdict(orientable, False, tag, witness)
 
     for v in range(k):
         if dims[v] == 1:
@@ -170,7 +177,7 @@ def has_spin_digraph(G: WeightedDigraph) -> SpinReport:
     for (i, j), w in by_edge:
         if dims[i] != 1 and common_source_sum(G, i, j) % 2 != w.bit_count() % 2:
             return report("iv", (i, j))
-    return SpinReport(orientable, True)
+    return spin_verdict(orientable, True)
 
 
 def w3_vanishes_digraph(G: WeightedDigraph) -> bool:

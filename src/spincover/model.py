@@ -120,6 +120,20 @@ class SpinReport:
             raise ValueError("condition tag and witness go together")
 
 
+@lru_cache(maxsize=1024)
+def spin_verdict(
+    orientable: bool,
+    spin: bool,
+    failed_condition: Optional[str] = None,
+    witness: Optional[tuple[int, ...]] = None,
+) -> SpinReport:
+    """The one shared `SpinReport` of these fields, checked when first built.
+    A report is frozen, so every decider can hand out the same object; a
+    family's verdicts take few distinct values (6 over the 1,525 matrices of
+    (1,2,4)), and a witness names at most two of the k vertices."""
+    return SpinReport(orientable, spin, failed_condition, witness)
+
+
 class ReducedMatrix:
     """The pair (omega, A): row r of A is the int rows[r] with bit c = entry
     (r, c).  Only a characteristic matrix can be built: the constructor
@@ -236,17 +250,54 @@ def _successors(omega: DimensionVector, rows: Sequence[int]) -> list[list[int]]:
     return [[r ^ (1 << i) for r in rows[offsets[i]:offsets[i + 1]]] for i in range(omega.k)]
 
 
-def reach(succ: Sequence[int]) -> list[int]:
-    """Per vertex v, the mask of the vertices that v reaches by one or more
-    arcs, where bit j of succ[i] is an arc i -> j; by Warshall's closure in
-    O(k^2) int operations.  v lies on a cycle exactly when its own bit is set."""
-    out = list(succ)
-    for m, via in enumerate(out):
-        bit = 1 << m
-        for i, r in enumerate(out):
-            if r & bit:
-                out[i] = r | via
-    return out
+def cycle_vertices(succ: Sequence[int]) -> list[int]:
+    """The vertices that lie on a cycle of the relation with bit j of succ[i]
+    an arc i -> j, in increasing order: those of a strongly connected
+    component of two or more vertices, and those with a loop.  By Tarjan's
+    algorithm (1972) in O(k + arcs) int operations, with an explicit stack, so
+    that a long path cannot reach the recursion limit."""
+    k, seen = len(succ), 0
+    # index[v] is v's discovery order, -1 before it; once v's component is
+    # closed it is k, above every low value, so an arc into v lowers none.
+    index, low, cyclic = [-1] * k, [0] * k, [False] * k
+    stack: list[int] = []  # the vertices of the components not yet closed
+    path: list[list[int]] = []  # per vertex searched from: it, its arcs not yet followed
+
+    def discover(u: int) -> None:
+        nonlocal seen
+        index[u] = low[u] = seen
+        seen += 1
+        stack.append(u)
+        path.append([u, succ[u]])
+
+    for root in range(k):
+        if index[root] < 0:
+            discover(root)
+        while path:
+            top = path[-1]
+            v, rest = top
+            if rest:
+                top[1] = rest & (rest - 1)
+                u = (rest & -rest).bit_length() - 1
+                if index[u] < 0:
+                    discover(u)
+                else:
+                    low[v] = min(low[v], index[u])
+                continue
+            path.pop()
+            if path:
+                parent = path[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                cut = len(stack) - 1
+                while stack[cut] != v:
+                    cut -= 1
+                members = stack[cut:]
+                del stack[cut:]
+                on_cycle = len(members) > 1 or bool((succ[v] >> v) & 1)
+                for u in members:
+                    index[u], cyclic[u] = k, on_cycle
+    return [v for v in range(k) if cyclic[v]]
 
 
 def is_cyclic(succ: Sequence[int]) -> bool:

@@ -17,6 +17,8 @@ from spincover.model import identity_rows
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Small enough that every n x k 0/1 matrix over them, valid or not, is checked.
+EVERY_MATRIX_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (2, 3)]
 
 
 def load(name: str) -> ReducedMatrix:
@@ -175,7 +177,7 @@ def serialize_bitwise(A: ReducedMatrix) -> str:
 
 def reaches_itself(v: int, arcs: list[tuple[int, int]]) -> bool:
     """Whether a directed path of length at least one leads from v back to v;
-    the definitional test that `model.reach` answers for every vertex."""
+    the definitional test that `model.cycle_vertices` answers for every vertex."""
     seen: set[int] = set()
     todo = [j for i, j in arcs if i == v]
     while todo:

@@ -3,7 +3,6 @@ import hashlib
 import io
 import itertools
 import json
-import pickle
 import random
 from dataclasses import replace
 
@@ -39,7 +38,7 @@ from spincover.census import (
     oracle_fields,
     write_census_header,
 )
-from spincover import census, cli, model, oracle
+from spincover import census, cli, digraph, model, oracle
 from spincover import from_matrix, has_spin_digraph, normal_form, total_sw_truncated
 from spincover.cli import main
 from conftest import count_valid, counter_rows, dv, filter_valid, perfbench_common
@@ -375,10 +374,10 @@ def test_spin_check_reads_the_record_as_its_own_deciders_would(dims):
         assert census._spin_check(A, None) == census._spin_check(A, build_record(A, []))
 
 
-def test_every_check_pickles_and_gives_the_same_result(monkeypatch):
+def test_every_check_gives_one_value_per_key_and_the_same_result_twice(monkeypatch):
     # The checks the drivers hand to run_family, the bound partials included,
-    # are module-level functions: they survive a round trip through pickle,
-    # and each gives one value per count key.
+    # give one value per count key, and the same flags and values when run
+    # again on the same matrix.
     checks = []
 
     def capture(omega, keys, check, **kwargs):
@@ -394,10 +393,9 @@ def test_every_check_pickles_and_gives_the_same_result(monkeypatch):
     checks.append((dv(1, 2), (), cli._no_check))
     assert len(checks) == 7
     for omega, keys, check in checks:
-        again = pickle.loads(pickle.dumps(check))
         for A in itertools.islice(enumerate_valid(omega), 12):
             flags, values = check(A, None)
-            assert again(A, None) == (flags, values)
+            assert check(A, None) == (flags, values)
             assert len(values) == len(keys)
 
 
@@ -552,6 +550,47 @@ def test_one_block_relation_per_record_and_no_witness_search(monkeypatch):
     assert len(searched) == 1
 
 
+def test_one_acyclicity_check_per_matrix_and_one_report_per_verdict(monkeypatch):
+    # The peel runs once per matrix, in its constructor: once per record and
+    # once per memo member.  from_matrix trusts that check and never runs the
+    # checked digraph constructor, and the Spin deciders hand out one shared,
+    # once-checked SpinReport per distinct verdict.
+    peels, verdicts, checked = [], [], []
+    real_is_cyclic = model.is_cyclic
+    real_has_spin, real_has_spin_digraph = census.has_spin, census.has_spin_digraph
+    real_post_init = model.SpinReport.__post_init__
+
+    def refuse(self, omega, edges):
+        raise AssertionError("the checked digraph constructor ran in a census")
+
+    for module in (model, digraph, census):
+        monkeypatch.setattr(
+            module, "is_cyclic", lambda succ: peels.append(succ) or real_is_cyclic(succ)
+        )
+    monkeypatch.setattr(digraph.WeightedDigraph, "__init__", refuse)
+    monkeypatch.setattr(
+        census, "has_spin", lambda A: verdicts.append(real_has_spin(A)) or verdicts[-1]
+    )
+    monkeypatch.setattr(
+        census,
+        "has_spin_digraph",
+        lambda G: verdicts.append(real_has_spin_digraph(G)) or verdicts[-1],
+    )
+    monkeypatch.setattr(
+        model.SpinReport,
+        "__post_init__",
+        lambda report: checked.append(report) or real_post_init(report),
+    )
+    model.spin_verdict.cache_clear()
+    records = []
+    report = crosscheck_spin(dv(1, 2, 2), sink=records.append)
+    assert len(records) == report.total_valid == 157
+    assert len(peels) == 157 + 80
+    assert len(verdicts) == 2 * 157
+    assert len({id(v) for v in verdicts}) == len(set(verdicts)) == len(checked) == 8
+    assert set(checked) == set(verdicts)
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 2), (2, 3), (1, 2, 2), (3, 3), (2, 2, 2), (1, 2, 4)])
 def test_memoized_records_equal_records_built_with_no_memo(dims):
     # The census takes the oracle fields from one member per row-order
@@ -652,6 +691,12 @@ def test_w_crosscheck_full():
     assert report.discrepancies == []
     report = crosscheck_w(dv(4, 4), 4)
     assert (report.total_valid, report.counts["vanish"]) == (31, 0)
+    assert report.discrepancies == []
+    # (3,3,4) is the smallest family here whose matrices reach the triple
+    # condition of the w3 tables, three self-dots of residue 0: no matrix of
+    # (3,3) or (3,3,3) gets past the single and pair conditions with one.
+    report = crosscheck_w(dv(3, 3, 4), 3)
+    assert (report.total_valid, report.counts["vanish"]) == (6465, 509)
     assert report.discrepancies == []
 
 

@@ -26,7 +26,7 @@ from spincover import (
     weighted_in_degree,
 )
 from spincover import digraph, model
-from conftest import DATA, dv, seeded_candidates, seeded_matrices
+from conftest import EVERY_MATRIX_FAMILIES, DATA, dv, seeded_candidates, seeded_matrices
 
 
 
@@ -87,6 +87,19 @@ def test_from_matrix_reads_every_nonzero_block_and_inverts_to_matrix():
             if i != j and A.block(i, j)
         }
         assert to_matrix(G) == A
+
+
+@pytest.mark.parametrize("dims", [*EVERY_MATRIX_FAMILIES, (1, 2, 4)])
+def test_the_checked_constructor_builds_every_digraph_from_matrix_trusts(dims):
+    # from_matrix builds its digraph without the constructor's checks, since
+    # the matrix's constructor already found the relation acyclic.  Given the
+    # same edges, the checked constructor accepts them, keeps every edge and
+    # gives the same Spin verdict.
+    for A in enumerate_valid(DimensionVector(dims)):
+        G = from_matrix(A)
+        checked = WeightedDigraph(A.omega, G.edges)
+        assert checked == G
+        assert has_spin_digraph(checked) == has_spin_digraph(G)
 
 
 def test_spin_digraph_reads_the_weighted_in_degrees():
@@ -187,18 +200,19 @@ def test_constructor_validation():
 
 
 def test_large_digraphs_need_the_closure_only_to_name_a_cycle(monkeypatch):
-    # Acyclicity is Kahn's peel, linear in the arcs; the O(k^2) closure
-    # `reach` runs only to name the vertices of a cycle.
+    # Acyclicity is Kahn's peel, linear in the arcs; the strongly connected
+    # components run only to name the vertices of a cycle, without recursion,
+    # so a ring longer than the recursion limit is named too.
     k = 3200
     path = {(i, i + 1): 1 for i in range(k - 1)}
     ring = {**path, (k - 1, 0): 1}
 
     def refuse(succ):
-        raise AssertionError("reach on an acyclic digraph")
+        raise AssertionError("cycle_vertices on an acyclic digraph")
 
     with monkeypatch.context() as patched:
-        patched.setattr(model, "reach", refuse)
-        patched.setattr(digraph, "reach", refuse)
+        patched.setattr(model, "cycle_vertices", refuse)
+        patched.setattr(digraph, "cycle_vertices", refuse)
         G = WeightedDigraph(DimensionVector((1,) * k), path)
     assert G.edges == path
     with pytest.raises(CyclicDigraphError) as exc:
