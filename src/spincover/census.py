@@ -30,7 +30,6 @@ from .model import (
     DimensionVector,
     InvalidMatrixError,
     ReducedMatrix,
-    bit_string,
     elementary_component,
     identity_rows,
     is_cyclic,
@@ -66,11 +65,11 @@ def bit_layout(omega: DimensionVector) -> tuple[tuple[int, int], ...]:
     """(row, column) per off-diagonal bit, most significant first, so
     counter bit b is entry -1 - b."""
     return tuple(
-        (omega.offset(i) + t, j)
+        (omega.offsets[i] + t, j)
         for i in range(omega.k)
         for j in range(omega.k)
         if j != i
-        for t in range(omega[i])
+        for t in range(omega.dims[i])
     )
 
 
@@ -111,7 +110,7 @@ def _checked(omega: DimensionVector, rows: Sequence[int], fault: str) -> Reduced
     try:
         return ReducedMatrix(omega, rows)
     except InvalidMatrixError:
-        names = "/".join([bit_string(row, omega.k) for row in rows])
+        names = "/".join(row_strings(rows, omega.k))
         raise RuntimeError(f"{fault}, rows {names}") from None
 
 
@@ -119,10 +118,10 @@ def counter_is_valid(omega: DimensionVector, counter: int) -> bool:
     """Whether `counter` decodes into a valid matrix, judged without decoding:
     a nonzero n_i-bit field v_ij is the arc i -> j, and the arcs must be
     acyclic.  Block-row i's fields run up from its lowest bit, j descending."""
-    n, k = omega.n, omega.k
+    n, k, offsets = omega.n, omega.k, omega.offsets
     succ = [0] * k
-    for i, d in enumerate(omega):
-        fields = counter >> (n - omega.offset(i + 1)) * (k - 1)
+    for i, d in enumerate(omega.dims):
+        fields = counter >> (n - offsets[i + 1]) * (k - 1)
         for j in reversed([j for j in range(k) if j != i]):
             if fields & ((1 << d) - 1):
                 succ[i] |= 1 << j
@@ -137,15 +136,13 @@ def _walk(omega: DimensionVector) -> Iterator[tuple[int, ...]]:
     Later block-rows are still zero, so every branch ends in a valid matrix.
     reach[v] is the bitmask of the vertices that v reaches by one or more arcs.
     """
-    k, layout = omega.k, bit_layout(omega)
+    k, layout, offsets = omega.k, bit_layout(omega), omega.offsets
     rows = identity_rows(omega)
     # Per block-row, its (row, column) cells by bit of its part of the counter.
-    cells = [
-        layout[omega.offset(i) * (k - 1):omega.offset(i + 1) * (k - 1)][::-1] for i in range(k)
-    ]
+    cells = [layout[offsets[i] * (k - 1):offsets[i + 1] * (k - 1)][::-1] for i in range(k)]
 
     def extend(i: int, reach: list[int]) -> Iterator[tuple[int, ...]]:
-        off, d, mine = omega.offset(i), omega[i], cells[i]
+        off, d, mine = offsets[i], omega.dims[i], cells[i]
         free = sum(1 << b for b, (_, j) in enumerate(mine) if not (reach[j] >> i) & 1)
         x = 0
         while True:
@@ -207,23 +204,9 @@ def sample_valid(
         )
 
 
-# Rows of up to this many columns are named from a table of every row.
-ROW_NAME_BITS = 11
-
-
-@functools.lru_cache(maxsize=ROW_NAME_BITS)
-def _row_names(k: int) -> tuple[str, ...]:
-    """The `row_strings` name of every k-column row, indexed by the row."""
-    return tuple(bit_string(row, k) for row in range(1 << k))
-
-
 def compact_matrix(A: ReducedMatrix) -> str:
     """Rows as 0/1 strings joined by '/', small enough for one JSON line."""
-    k = A.omega.k
-    if k > ROW_NAME_BITS:
-        return "/".join(row_strings(A))
-    names = _row_names(k)
-    return "/".join([names[row] for row in A.rows])
+    return "/".join(row_strings(A.rows, A.omega.k))
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -324,7 +307,8 @@ def class_memo(omega: DimensionVector) -> OracleFields:
     within each block, and the fields are those of that sorted member, built
     on a miss.  The 256 most recently used classes are kept.
     """
-    blocks = [(omega.offset(i), omega.offset(i + 1)) for i, d in enumerate(omega) if d > 1]
+    offsets = omega.offsets
+    blocks = [(offsets[i], offsets[i + 1]) for i, d in enumerate(omega.dims) if d > 1]
     cached = functools.lru_cache(maxsize=256)(lambda key: oracle_fields(ReducedMatrix(omega, key)))
 
     def fields(A: ReducedMatrix) -> tuple[bool, dict[int, str]]:

@@ -258,7 +258,7 @@ def closed_coefficients(A: ReducedMatrix, m: int) -> CoeffTable:
     the counts directly.
     """
     if m == 1:
-        return CoeffTable(1, {(i,): (d + 1) % 2 for i, d in enumerate(A.dots()[0])})
+        return CoeffTable(1, {(i,): (d + 1) % 2 for i, d in enumerate(A.self_dots())})
     if m == 2:
         return w2_coefficients(A)
     if m == 3:

@@ -79,7 +79,7 @@ class WeightedDigraph:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{i + 1}->{j + 1}:{bit_string(w, self.omega[i])}"
+            f"{i + 1}->{j + 1}:{bit_string(w, self.omega.dims[i])}"
             for (i, j), w in sorted(self.edges.items())
         )
         return f"WeightedDigraph(omega={self.omega.dims}, [{body}])"
@@ -95,7 +95,7 @@ def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
     It is built without the checks of the `WeightedDigraph` constructor: the
     edges of a `ReducedMatrix` are in range, loop-free and nonzero, each
     weight is masked to its block, and A's constructor found them acyclic."""
-    cols, dims, offsets = A.columns(), A.omega.dims, A.omega._block_offsets
+    cols, dims, offsets = A.columns(), A.omega.dims, A.omega.offsets
     edges = {}
     for i, succ in enumerate(block_successors(A)):
         off, mask = offsets[i], (1 << dims[i]) - 1
@@ -113,8 +113,8 @@ def to_matrix(G: WeightedDigraph) -> ReducedMatrix:
     omega = G.omega
     rows = identity_rows(omega)
     for (i, j), w in G.edges.items():
-        off = omega.offset(i)
-        for t in range(omega[i]):
+        off = omega.offsets[i]
+        for t in range(omega.dims[i]):
             if (w >> t) & 1:
                 rows[off + t] |= 1 << j
     return ReducedMatrix(omega, rows)
@@ -190,7 +190,7 @@ def w3_vanishes_digraph(G: WeightedDigraph) -> bool:
     if any(d < 3 for d in G.omega.dims):
         raise ValueError("every vertex dimension must be at least 3")
     k = G.omega.k
-    single = [d + n for d, n in zip(_in_degrees(G), G.omega)]
+    single = [d + n for d, n in zip(_in_degrees(G), G.omega.dims)]
 
     def pair_count(i: int, j: int) -> int:
         return (
@@ -269,9 +269,9 @@ def parse_digraph(text: str) -> WeightedDigraph:
             raise DigraphFormatError(f"{where}: loop at vertex {src}")
         if not isinstance(wstr, str) or any(ch not in "01" for ch in wstr):
             raise DigraphFormatError(f"{where}: 'w' must be a string of 0/1")
-        if len(wstr) != omega[src - 1]:
+        if len(wstr) != omega.dims[src - 1]:
             raise DigraphFormatError(
-                f"{where}: weight length {len(wstr)} != omega({src}) = {omega[src - 1]}"
+                f"{where}: weight length {len(wstr)} != omega({src}) = {omega.dims[src - 1]}"
             )
         key = (src - 1, dst - 1)
         if key in edges:
@@ -287,7 +287,7 @@ def serialize_digraph(G: WeightedDigraph) -> str:
             {
                 "from": i + 1,
                 "to": j + 1,
-                "w": bit_string(w, G.omega[i]),
+                "w": bit_string(w, G.omega.dims[i]),
             }
             for (i, j), w in sorted(G.edges.items())
         ],

@@ -13,8 +13,8 @@ reports are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -50,44 +50,29 @@ def parse_decimal(token: str) -> int:
 
 @dataclass(frozen=True)
 class DimensionVector:
-    """Block sizes (n_1, ..., n_k) of the simplex factors; immutable, so sizes are cached."""
+    """Block sizes dims = (n_1, ..., n_k) of the simplex factors.  The rest is
+    derived once, and equality and hashing read dims alone: offsets[i] is the
+    row where block i starts (offsets[k] = n), and l counts the interval
+    factors (n_i = 1)."""
 
     dims: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.dims:
+        dims = self.dims
+        if not dims:
             raise ValueError("at least one factor is required")
-        for d in self.dims:
+        for d in dims:
             if d < 1:
                 raise ValueError(f"factor dimension {d} is not positive")
-        # offset(i) for i = 0..k, one tuple shared by every vector of these dims
-        object.__setattr__(self, "_block_offsets", _offsets_of(self.dims))
-
-    @cached_property
-    def n(self) -> int:
-        return sum(self.dims)
-
-    @cached_property
-    def k(self) -> int:
-        return len(self.dims)
-
-    @cached_property
-    def l(self) -> int:
-        """Number of interval factors (n_i = 1)."""
-        return sum(1 for d in self.dims if d == 1)
-
-    def offset(self, i: int) -> int:
-        """Row index where block i starts (0 <= i <= k)."""
-        return self._block_offsets[i]
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, i: int) -> int:
-        return self.dims[i]
+        offsets = _offsets_of(dims)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "n", offsets[-1])
+        object.__setattr__(self, "k", len(dims))
+        object.__setattr__(self, "l", dims.count(1))
 
 
 @dataclass(frozen=True)
@@ -211,7 +196,7 @@ class ReducedMatrix:
         k = self.omega.k
         if not (0 <= i < k and 0 <= j < k):
             raise IndexError((i, j))
-        return (self.columns()[j] >> self.omega.offset(i)) & ((1 << self.omega[i]) - 1)
+        return (self.columns()[j] >> self.omega.offsets[i]) & ((1 << self.omega.dims[i]) - 1)
 
     def self_dots(self) -> tuple[int, ...]:
         """The self-dots k_i, the popcounts of the column ints; kept."""
@@ -246,7 +231,7 @@ def _successors(omega: DimensionVector, rows: Sequence[int]) -> list[list[int]]:
     That is the row with bit i flipped: bit j != i is an arc i -> j, and a
     clear diagonal entry is a loop i -> i.
     """
-    offsets = omega._block_offsets
+    offsets = omega.offsets
     return [[r ^ (1 << i) for r in rows[offsets[i]:offsets[i + 1]]] for i in range(omega.k)]
 
 
@@ -350,7 +335,7 @@ def _block_masks(omega: DimensionVector, rows: Sequence[int]) -> tuple[int, ...]
     """The masks of `block_successors`, one OR and one AND per block of rows:
     bit j != i of the OR is v_ij != 0, and the loop bit i is set unless the
     AND has it, that is unless v_ii is all ones."""
-    offsets, masks = omega._block_offsets, []
+    offsets, masks = omega.offsets, []
     for i in range(len(offsets) - 1):
         block, bit = rows[offsets[i]:offsets[i + 1]], 1 << i
         masks.append((reduce(or_, block) | bit) ^ (reduce(and_, block) & bit))
@@ -453,12 +438,12 @@ def conjugate_by_permutation(A: ReducedMatrix, sigma: Sequence[int]) -> ReducedM
     inv = [0] * k
     for old, new in enumerate(sigma):
         inv[new] = old
-    new_omega = DimensionVector(tuple(A.omega[inv[p]] for p in range(k)))
+    new_omega = DimensionVector(tuple(A.omega.dims[inv[p]] for p in range(k)))
     rows = []
     for p in range(k):
         src = inv[p]
-        off = A.omega.offset(src)
-        for t in range(A.omega[src]):
+        off = A.omega.offsets[src]
+        for t in range(A.omega.dims[src]):
             old_row = A.rows[off + t]
             new_row = 0
             for q in range(k):
@@ -503,8 +488,6 @@ def parse_matrix(text: str) -> ReducedMatrix:
                 dims = tuple(parse_decimal(tok) for tok in line.split())
             except ValueError:
                 raise MatrixFormatError(lineno, f"bad dimension line {line!r}")
-            if not dims:
-                raise MatrixFormatError(lineno, "empty dimension line")
             if any(d < 1 for d in dims):
                 raise MatrixFormatError(lineno, f"non-positive factor in {dims}")
             continue
@@ -531,11 +514,25 @@ def bit_string(x: int, width: int) -> str:
     return format(x, f"0{width}b")[::-1]
 
 
-def row_strings(A: ReducedMatrix) -> list[str]:
-    """Each row as its k entries in 0/1, column 0 first."""
-    return [bit_string(row, A.omega.k) for row in A.rows]
+# Rows of up to this many columns are named from a table of every row.
+ROW_NAME_BITS = 11
+
+
+@lru_cache(maxsize=ROW_NAME_BITS)
+def _row_names(k: int) -> list[str]:
+    """The `bit_string` of every k-column row, indexed by the row; never
+    changed.  A list, since `map` calls a list's bound `__getitem__` faster
+    than a tuple's."""
+    return [bit_string(row, k) for row in range(1 << k)]
+
+
+def row_strings(rows: Iterable[int], k: int) -> list[str]:
+    """Each row int as its k entries in 0/1, column 0 first."""
+    if k > ROW_NAME_BITS:
+        return [bit_string(row, k) for row in rows]
+    return list(map(_row_names(k).__getitem__, rows))
 
 
 def serialize_matrix(A: ReducedMatrix) -> str:
     dims = " ".join(str(d) for d in A.omega.dims)
-    return "\n".join([dims, *row_strings(A)]) + "\n"
+    return "\n".join([dims, *row_strings(A.rows, A.omega.k)]) + "\n"

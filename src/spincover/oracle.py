@@ -157,39 +157,35 @@ def polynomial_str(p: GradedPolynomial) -> str:
 
 
 class DegreeBasis:
-    """Echelon span of the ideal inside one graded piece.
+    """Echelon span of the ideal inside one graded piece, built from a
+    spanning set and never changed after.
 
     Rows are keyed by pivot index, their lowest bit (the leading monomial),
     and the pivots are distinct.  Every nonzero element of the span then has
     a pivot as its lowest bit, so `reduce`, clearing the pivots in ascending
-    order, yields the one representative with no pivot bit set.  The rows are
-    put in that order by the first `reduce` after an insertion, so a cached
-    basis, which is never changed, is sorted once.
+    order, yields the one representative with no pivot bit set.  The
+    constructor stores the rows in that order.
     """
 
-    __slots__ = ("rows", "_ascending")
+    __slots__ = ("rows",)
 
-    def __init__(self):
-        self.rows: dict[int, int] = {}
-        self._ascending = True
-
-    def _insert(self, vec: int) -> None:
-        while vec:
-            p = (vec & -vec).bit_length() - 1
-            row = self.rows.get(p)
-            if row is None:
-                self.rows[p] = vec
-                self._ascending = False
-                return
-            vec ^= row
+    def __init__(self, vectors: Iterable[int]):
+        rows: dict[int, int] = {}
+        for vec in vectors:
+            while vec:
+                p = (vec & -vec).bit_length() - 1
+                row = rows.get(p)
+                if row is None:
+                    rows[p] = vec
+                    break
+                vec ^= row
+        self.rows = dict(sorted(rows.items()))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, mask: int) -> int:
-        if not self._ascending:
-            self.rows, self._ascending = dict(sorted(self.rows.items())), True
         for p, row in self.rows.items():
             if (mask >> p) & 1:
                 mask ^= row
@@ -225,13 +221,10 @@ def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
     g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l), of degree
     n_i + 1.  The diagonal convention makes each factor contain x_i.
     """
-    omega = A.omega
+    k, offsets = A.omega.k, A.omega.offsets
     return tuple(
-        GradedPolynomial(
-            omega.k,
-            {n + 1: _generator(omega.k, i, A.rows[omega.offset(i):omega.offset(i + 1)])},
-        )
-        for i, n in enumerate(omega.dims)
+        GradedPolynomial(k, {n + 1: _generator(k, i, A.rows[offsets[i]:offsets[i + 1]])})
+        for i, n in enumerate(A.omega.dims)
     )
 
 
@@ -239,11 +232,12 @@ def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
 def _rows_read(omega: DimensionVector, d: int) -> tuple[int, ...]:
     """The indices of the rows of the blocks with n_i < d: all that the
     generators of degree at most d, and so the ideal in degree d, read."""
+    offsets = omega.offsets
     return tuple(
         r
-        for i, n in enumerate(omega)
+        for i, n in enumerate(omega.dims)
         if n < d
-        for r in range(omega.offset(i), omega.offset(i + 1))
+        for r in range(offsets[i], offsets[i + 1])
     )
 
 
@@ -251,9 +245,9 @@ def _rows_read(omega: DimensionVector, d: int) -> tuple[int, ...]:
 def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> DegreeBasis:
     """Echelon basis of I_d for every matrix over omega whose rows
     `_rows_read(omega, d)` are `low`: the span of the multiples x^mu * g_i
-    of degree d, each inserted once, as mu runs over the non-decreasing
+    of degree d, each taken once, as mu runs over the non-decreasing
     index sequences."""
-    k, basis, offsets = omega.k, DegreeBasis(), omega._block_offsets
+    k, multiples, offsets = omega.k, [], omega.offsets
     row = dict(zip(_rows_read(omega, d), low))
     for i, n in enumerate(omega.dims):
         if n < d:
@@ -264,9 +258,8 @@ def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> Degre
                 tables = _times_x(k, deg)
                 layer = [(_times_var(tables[j], m), j)
                          for m, first in layer for j in range(first, k)]
-            for m, _ in layer:
-                basis._insert(m)
-    return basis
+            multiples += [m for m, _ in layer]
+    return DegreeBasis(multiples)
 
 
 def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:
@@ -298,7 +291,7 @@ def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:
     Every row but those of the last block goes into a cached prefix."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
-    k, last = A.omega.k, A.omega._block_offsets[-2]
+    k, last = A.omega.k, A.omega.offsets[-2]
     start = _prefix(k, maxdeg, A.rows[:last])
     pieces = _expand(k, A.rows[last:], maxdeg, start)
     return GradedPolynomial(k, dict(enumerate(pieces)))

@@ -8,6 +8,7 @@ import pytest
 from spincover import (
     DimensionVector,
     ReducedMatrix,
+    conjugate_by_permutation,
     is_valid,
     parse_matrix,
     space_size,
@@ -154,6 +155,26 @@ def seeded_candidates() -> tuple[tuple[DimensionVector, tuple[int, ...]], ...]:
 def seeded_matrices() -> tuple[ReducedMatrix, ...]:
     """The valid `seeded_candidates`, built."""
     return tuple(ReducedMatrix(*c) for c in seeded_candidates() if is_valid(*c))
+
+
+def upper_triangular_draw(rng: random.Random, dims: tuple[int, ...]) -> ReducedMatrix:
+    """A valid matrix over dims, drawn with no rejection.  The factors are
+    put in a random order, and over that order every block above the
+    diagonal is random, every diagonal block is all ones and every block
+    below is zero, so the block relation only rises; `conjugate_by_permutation`
+    then relabels the factors back to the order of dims.  The draws are not
+    uniform over the valid matrices, so their counts are not family
+    statistics, but they reach families too large for the walk and the
+    rejection sampler."""
+    k = len(dims)
+    order = rng.sample(range(k), k)
+    ranked = tuple(dims[v] for v in order)
+    rows = [
+        (1 << p) | (rng.getrandbits(k) >> (p + 1) << (p + 1))
+        for p, d in enumerate(ranked)
+        for _ in range(d)
+    ]
+    return conjugate_by_permutation(ReducedMatrix(DimensionVector(ranked), rows), order)
 
 
 def columns_bitwise(A: ReducedMatrix) -> tuple[int, ...]:

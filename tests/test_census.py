@@ -41,7 +41,9 @@ from spincover.census import (
 from spincover import census, cli, digraph, model, oracle
 from spincover import from_matrix, has_spin_digraph, normal_form, total_sw_truncated
 from spincover.cli import main
-from conftest import count_valid, counter_rows, dv, filter_valid, perfbench_common
+from conftest import (
+    count_valid, counter_rows, dv, filter_valid, perfbench_common, serialize_bitwise,
+)
 
 
 
@@ -291,7 +293,7 @@ def record_from_line(line: str) -> CensusRecord:
 
 def twelve_column_matrix() -> ReducedMatrix:
     # wider than the row-name table: its rows are named one by one
-    omega = dv(*(1,) * (census.ROW_NAME_BITS + 1))
+    omega = dv(*(1,) * (model.ROW_NAME_BITS + 1))
     rows = list(model.identity_rows(omega))
     rows[-1] |= 0b101
     rows[5] |= 0b10
@@ -319,23 +321,22 @@ def test_census_lines_equal_the_definitional_encoding():
         assert line == definitional_line(rec)
         assert record_from_line(line) == rec
     wide = twelve_column_matrix()
-    assert compact_matrix(wide) == "/".join(model.row_strings(wide))
-    for A in enumerate_valid(dv(1, 2, 4)):
-        assert compact_matrix(A) == "/".join(model.row_strings(A))
+    for A in [wide, *enumerate_valid(dv(1, 2, 4))]:
+        assert compact_matrix(A) == "/".join(serialize_bitwise(A).splitlines()[1:])
 
 
 def test_the_encoding_caches_are_bounded():
     # One row-name table per width up to ROW_NAME_BITS, none past it; the
     # "w" fragments keep the 256 most recent digest sets, and a record with
     # other digests gets its own line, never a fragment cached for another.
-    census._row_names.cache_clear()
+    model._row_names.cache_clear()
     compact_matrix(twelve_column_matrix())
-    assert census._row_names.cache_info().currsize == 0
+    assert model._row_names.cache_info().currsize == 0
     for A in enumerate_valid(dv(1, 2, 4)):
         compact_matrix(A)
-    assert census._row_names.cache_info().currsize == 1
-    assert census._row_names.cache_info().maxsize == census.ROW_NAME_BITS
-    assert len(census._row_names(census.ROW_NAME_BITS)) == 2**census.ROW_NAME_BITS
+    assert model._row_names.cache_info().currsize == 1
+    assert model._row_names.cache_info().maxsize == model.ROW_NAME_BITS
+    assert len(model._row_names(model.ROW_NAME_BITS)) == 2**model.ROW_NAME_BITS
     assert census._omega_json.cache_info().maxsize == 16
 
     base = build_record(matrix_from_counter(dv(1, 1), 0), [])
@@ -436,7 +437,7 @@ def test_records_built_only_for_a_sink_or_a_flag(monkeypatch):
 def rows_class(omega, rows):
     """The rows sorted within each block."""
     return tuple(
-        tuple(sorted(rows[omega.offset(i):omega.offset(i + 1)])) for i in range(omega.k)
+        tuple(sorted(rows[omega.offsets[i]:omega.offsets[i + 1]])) for i in range(omega.k)
     )
 
 
@@ -505,9 +506,9 @@ def test_one_expansion_per_record_and_per_w_matrix(monkeypatch):
     keys = {
         (d, tuple(
             r
-            for i, n in enumerate(omega)
+            for i, n in enumerate(omega.dims)
             if n < d
-            for r in A.rows[omega.offset(i):omega.offset(i + 1)]
+            for r in A.rows[omega.offsets[i]:omega.offsets[i + 1]]
         ))
         for A in expanded
         for d in range(1, 5)
@@ -635,7 +636,7 @@ def test_permuting_rows_within_blocks_keeps_the_classes_and_verdicts():
         dims = common.QUERY_SHAPES[t % len(common.QUERY_SHAPES)]
         omega = dv(*dims)
         A = ReducedMatrix(omega, common.random_valid_matrix(rng, dims))
-        blocks = [list(A.rows[omega.offset(i):omega.offset(i + 1)]) for i in range(omega.k)]
+        blocks = [list(A.rows[omega.offsets[i]:omega.offsets[i + 1]]) for i in range(omega.k)]
         for block in blocks:
             rng.shuffle(block)
         shuffled = ReducedMatrix(omega, [r for block in blocks for r in block])

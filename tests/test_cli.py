@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from spincover import GradedPolynomial, census, normal_form
+from spincover import GradedPolynomial, census, cli, normal_form
 from spincover.cli import main
 
 from conftest import DATA, perfbench_common
@@ -587,6 +587,73 @@ def test_a_lying_digraph_spin_verdict_is_flagged(runner, monkeypatch, tmp_path, 
         census, "has_spin_digraph", lambda G: SimpleNamespace(spin=not real(G).spin)
     )
     assert_every_matrix_flagged(runner, tmp_path, with_census, "spin-closed-digraph-mismatch")
+
+
+def test_a_lying_sufficient_condition_is_flagged(runner, monkeypatch, tmp_path):
+    # (1,2,2) has an interval factor and no Spin member, so a condition
+    # that always holds is sufficient but not Spin on every matrix.
+    monkeypatch.setattr(census, "spin_sufficient", lambda A: True)
+    assert_every_matrix_flagged(runner, tmp_path, False, "sufficient-but-not-spin")
+
+
+def test_a_lying_necessity_without_intervals_is_flagged(runner, monkeypatch):
+    # Without interval factors the sufficient condition is exactly Spin, so
+    # one that never holds misses the one Spin member of (3,3), RP^3 x RP^3.
+    monkeypatch.setattr(census, "spin_sufficient", lambda A: False)
+    result = runner.invoke(main, ["verify", "--omega", "3,3", "--check", "spin"])
+    assert result.exit_code == 4
+    assert result.output == (
+        "valid: 15, orientable: 7, spin: 1, discrepancies: 1\n"
+        "  l0-necessity-mismatch: 10/10/10/01/01/01\n"
+    )
+
+
+def flipped(p, m):
+    """p with its degree-m piece changed in the first monomial."""
+    return GradedPolynomial(p.k, {**p.pieces, m: p.pieces.get(m, 0) ^ 1})
+
+
+def assert_every_w4_matrix_flagged(runner, flag, vanish):
+    result = runner.invoke(main, ["verify", "--omega", "4,4", "--check", "w4"])
+    assert result.exit_code == 4
+    lines = result.output.splitlines()
+    assert lines[0] == f"valid: 31, vanish: {vanish}, discrepancies: 31"
+    assert len(lines) == 32
+    assert lines[1] == f"  {flag}: 10/10/10/10/01/01/01/01"
+    assert all(line.startswith(f"  {flag}: ") for line in lines[1:])
+
+
+def test_a_lying_w4_table_is_flagged(runner, monkeypatch):
+    real = census.closed_coefficients
+    lie = lambda A, m: SimpleNamespace(polynomial=lambda k: flipped(real(A, m).polynomial(k), m))
+    monkeypatch.setattr(census, "closed_coefficients", lie)
+    assert_every_w4_matrix_flagged(runner, "w4-expansion-mismatch", 0)
+
+
+def test_a_lying_w4_vanishing_verdict_is_flagged(runner, monkeypatch):
+    real = census.w4_vanishes_big
+    monkeypatch.setattr(census, "w4_vanishes_big", lambda A: not real(A))
+    assert_every_w4_matrix_flagged(runner, "w4-vanish-mismatch", 31)
+
+
+def test_sw_without_a_mode_flag_compares_both(runner):
+    both = runner.invoke(main, ["sw", "-m", "2", "--both", path("torus.txt")])
+    plain = runner.invoke(main, ["sw", "-m", "2", path("torus.txt")])
+    assert plain.exit_code == both.exit_code == 0
+    assert plain.output == both.output
+    assert plain.output.endswith("agreement (post-reduction): yes\n")
+
+
+def test_sw_both_exits_4_on_a_lying_oracle(runner, monkeypatch):
+    real = cli.sw_oracle
+    monkeypatch.setattr(cli, "sw_oracle", lambda A, m: flipped(real(A, m), m))
+    result = runner.invoke(main, ["sw", "-m", "2", "--both", path("rp2.txt")])
+    assert result.exit_code == 4
+    assert result.output == (
+        "closed w2: x1^2\n"
+        "oracle w2: 0\n"
+        "agreement (pre-reduction): no\n"
+    )
 
 
 def test_conjecture_shifted_clean(runner):

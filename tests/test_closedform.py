@@ -11,6 +11,7 @@ from spincover import (
     conjecture_predicate,
     conjugate_by_permutation,
     enumerate_valid,
+    from_matrix,
     has_spin,
     identity_matrix,
     interval_simplex_matrix,
@@ -24,11 +25,12 @@ from spincover import (
     w2_coefficients,
     w3_coefficients,
     w3_vanishes_big,
+    w3_vanishes_digraph,
     w4_coefficients,
     w4_vanishes_big,
 )
 from spincover.closedform import closed_coefficients
-from conftest import dv, perfbench_common, rp
+from conftest import dv, perfbench_common, rp, upper_triangular_draw
 
 
 def from_compact(dims, compact):
@@ -269,8 +271,50 @@ def test_closed_forms_equal_the_raw_expansion_on_seeded_matrices():
     assert cases == 1200
 
 
+def test_closed_w1_reads_the_self_dots_without_the_pair_table(spin_235):
+    A = ReducedMatrix(spin_235.omega, spin_235.rows)
+    # sw -m 1 needs only the self-dots: the k x k pair table stays unbuilt
+    assert closed_coefficients(A, 1).polynomial(A.omega.k) == sw_oracle(A, 1)
+    assert A._dots is None
+
+
 def test_closed_w1_has_no_singular_matrix_to_read():
     # No manifold stands behind a singular matrix, so closed_coefficients
     # is never asked for its w_1: the matrix cannot be built.
     with pytest.raises(InvalidMatrixError):
         ReducedMatrix.from_rows((1, 1), [[1, 1], [1, 1]])
+
+
+def drawn_with_residues(dims, count, residues, seed=11):
+    """The first `count` upper-triangular draws over dims whose self-dots
+    all lie in `residues` mod 8."""
+    rng, kept = random.Random(seed), []
+    while len(kept) < count:
+        A = upper_triangular_draw(rng, dims)
+        if all(d % 8 in residues for d in A.self_dots()):
+            kept.append(A)
+    return kept
+
+
+@pytest.mark.parametrize("dims, vanish", [((4, 4, 7), 2), ((4, 7, 7), 0), ((7, 7, 7), 2)])
+def test_w4_table_matches_the_oracle_on_three_column_draws(dims, vanish):
+    # Three columns whose self-dots all pass the single rows reach the pair
+    # rows and the residue-7 triple rows of the quartic table; the walk and
+    # the sampler reach no such family.  A source factor's self-dot is its
+    # dimension, so every draw here has a residue-7 column, and the other
+    # triple rows stay out of reach.  (8,8,8), where the table diverges,
+    # stays out: see README "Checked divergences".
+    draws = drawn_with_residues(dims, 400, {0, 1, 2, 7})
+    verdicts = [w4_vanishes_big(A) for A in draws]
+    assert verdicts == [oracle_class_is_zero(A, 4) for A in draws]
+    assert sum(verdicts) == vanish
+
+
+@pytest.mark.parametrize("dims, vanish", [((3, 3, 3, 3), 6), ((3, 3, 4, 4), 2)])
+def test_w3_three_ways_on_four_column_draws(dims, vanish):
+    rng = random.Random(11)
+    draws = [upper_triangular_draw(rng, dims) for _ in range(400)]
+    verdicts = [w3_vanishes_big(A) for A in draws]
+    assert verdicts == [w3_vanishes_digraph(from_matrix(A)) for A in draws]
+    assert verdicts == [oracle_class_is_zero(A, 3) for A in draws]
+    assert sum(verdicts) == vanish

@@ -110,10 +110,10 @@ def test_spin_digraph_reads_the_weighted_in_degrees():
         G, omega = from_matrix(A), A.omega
         indeg = [weighted_in_degree(G, v) for v in range(omega.k)]
         report = has_spin_digraph(G)
-        assert report.orientable == all((d + n) % 2 == 1 for d, n in zip(indeg, omega))
+        assert report.orientable == all((d + n) % 2 == 1 for d, n in zip(indeg, omega.dims))
         failing = [
             v
-            for v, (d, n) in enumerate(zip(indeg, omega))
+            for v, (d, n) in enumerate(zip(indeg, omega.dims))
             if (d % 2 if n == 1 else d % 4 != (3 - n) % 4)
         ]
         if failing:
@@ -134,7 +134,7 @@ def test_in_degree_identity_with_column_dots():
     for A in enumerate_valid(dv(1, 2, 2)):
         g = from_matrix(A)
         for i in range(3):
-            assert weighted_in_degree(g, i) == A.k_count((i, i)) - A.omega[i]
+            assert weighted_in_degree(g, i) == A.k_count((i, i)) - A.omega.dims[i]
 
 
 def test_common_source_sum(tower_2333):

@@ -2,8 +2,10 @@
 decider and the ring oracle read only the model, and the closed forms read
 the model plus the oracle's polynomial type and monomial order.  Validity
 stays owned by the model: a ReducedMatrix is valid by construction, so no
-other module checks it or reads the masks its constructor keeps.  Every run
-stays in one process: no module imports a process or thread pool."""
+other module checks it or reads the masks its constructor keeps, and no
+other module reads the model's private spellings of offsets, row names or
+cached counts.  Every run stays in one process: no module imports a
+process or thread pool."""
 
 import ast
 from pathlib import Path
@@ -115,6 +117,24 @@ def test_only_the_model_checks_validity():
         used, imported = named(path.read_text(encoding="utf-8"))
         assert not used & VALIDITY_NAMES, (path.stem, used & VALIDITY_NAMES)
         assert imported & VALIDITY_NAMES <= HELD.get(path.stem, set()), path.stem
+
+
+# The model's own spellings: the block offsets and the row-name table as they
+# were once read from outside it, and the lazy fields of a ReducedMatrix.
+# Other modules read `omega.offsets`, `omega.dims`, `row_strings(rows, k)`
+# and the matrix's methods.
+MODEL_PRIVATE = {
+    "_block_offsets", "offset", "_row_names", "ROW_NAME_BITS", "_cols", "_single", "_dots",
+}
+
+
+def test_only_the_model_reads_its_private_spellings():
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "model":
+            continue
+        used, imported = named(path.read_text(encoding="utf-8"))
+        found = (used | imported) & MODEL_PRIVATE
+        assert not found, (path.stem, found)
 
 
 # Standard modules that start processes or threads.

@@ -82,26 +82,24 @@ def normalize_upper_triangular(A):
 
 def test_dimension_vector_derived_quantities():
     w = dv(1, 2, 1, 5)
-    assert w.n == 9
-    assert w.k == 4
-    assert w.l == 2
-    assert [w.offset(i) for i in range(4)] == [0, 1, 3, 4]
-    assert list(w) == [1, 2, 1, 5]
-    assert len(w) == 4
-    assert w[1] == 2
+    assert (w.n, w.k, w.l) == (9, 4, 2)
+    assert w.offsets == (0, 1, 3, 4, 9)
+    assert w.dims[1] == 2
+    # one spelling per size: no method, iteration or indexing besides the fields
+    for name in ("offset", "__iter__", "__len__", "__getitem__"):
+        assert not hasattr(w, name), name
 
 
 @pytest.mark.parametrize("dims", [(1,), (3, 1), (1, 2, 1, 5), (4, 4, 4, 2, 1)])
 def test_dimension_vector_sizes_are_read_once(dims):
     w = DimensionVector(dims)
-    assert [w.offset(i) for i in range(len(dims) + 1)] == [
-        sum(dims[:i]) for i in range(len(dims) + 1)
-    ]
+    assert w.offsets == tuple(sum(dims[:i]) for i in range(len(dims) + 1))
     assert (w.n, w.k, w.l) == (sum(dims), len(dims), dims.count(1))
-    # kept on the instance after the first read, outside the dataclass fields
-    assert {"n", "k", "l"} <= set(vars(w))
-    assert [f.name for f in dataclasses.fields(w)] == ["dims"]
+    # derived in the constructor as plain fields, which equality, hashing
+    # and the repr leave out; the offsets are one tuple per dims
+    assert [f.name for f in dataclasses.fields(w)] == ["dims", "offsets", "n", "k", "l"]
     same = DimensionVector(dims)
+    assert same.offsets is w.offsets
     assert w == same and hash(w) == hash(same)
     assert repr(w) == f"DimensionVector(dims={dims!r})"
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -217,7 +215,7 @@ def test_derived_columns_and_successors_match_their_definitions():
                 for j in range(omega.k)
                 if any(
                     ((rows[t] >> j) & 1) != (i == j)
-                    for t in range(omega.offset(i), omega.offset(i + 1))
+                    for t in range(omega.offsets[i], omega.offsets[i + 1])
                 )
             )
             for i in range(omega.k)
@@ -250,7 +248,7 @@ def successors_by_rows(omega, rows):
     out = []
     for i in range(omega.k):
         mask = 0
-        for t in range(omega.offset(i), omega.offset(i + 1)):
+        for t in range(omega.offsets[i], omega.offsets[i + 1]):
             mask |= rows[t] ^ (1 << i)
         out.append(mask)
     return tuple(out)
@@ -296,7 +294,7 @@ def test_kahn_peel_finds_a_cycle_exactly_when_a_vertex_reaches_itself():
 
 def _selection_rows(omega, rows, selection):
     """Row ints of the k x k matrix picking row selection[i] of block-row i."""
-    return [rows[omega.offset(i) + li] for i, li in enumerate(selection)]
+    return [rows[omega.offsets[i] + li] for i, li in enumerate(selection)]
 
 
 def _definitional_report(omega, rows):
@@ -411,7 +409,7 @@ def test_the_refusal_message_is_one_based():
 def test_identity_matrix_blocks():
     ident = identity_matrix(dv(2, 3))
     for i, j in itertools.product(range(2), range(2)):
-        assert ident.block(i, j) == ((1 << ident.omega[i]) - 1 if i == j else 0)
+        assert ident.block(i, j) == ((1 << ident.omega.dims[i]) - 1 if i == j else 0)
 
 
 def test_conjugate_identity_permutation(spin_235):

@@ -170,8 +170,8 @@ def test_total_class_and_generators_match_the_tuple_reference(dims):
         want = expand_tuples(k, [1 << i for i in range(k)] + list(A.rows), omega.n)
         assert [decode(k, d, total.pieces.get(d, 0)) for d in range(omega.n + 1)] == want
         for i, g in enumerate(relation_generators(A)):
-            off, top = omega.offset(i), omega[i] + 1
-            want = expand_tuples(k, [1 << i, *A.rows[off:off + omega[i]]], top)[top]
+            off, top = omega.offsets[i], omega.dims[i] + 1
+            want = expand_tuples(k, [1 << i, *A.rows[off:off + omega.dims[i]]], top)[top]
             assert sorted(g.pieces) == [top] and decode(k, top, g.pieces[top]) == want
 
 
@@ -180,17 +180,17 @@ def generator_shift_basis(A, d):
     the definitional spanning set of the ideal in degree d."""
     k = A.omega.k
     index = {e: t for t, e in enumerate(monomials_of_degree(k, d))}
-    basis = DegreeBasis()
+    shifts = []
     for i, g in enumerate(relation_generators(A)):
-        gdeg = A.omega[i] + 1
+        gdeg = A.omega.dims[i] + 1
         if gdeg > d:
             continue
         for m in monomials_of_degree(k, d - gdeg):
             vec = 0
             for e in decode(k, gdeg, g.pieces[gdeg]):
                 vec ^= 1 << index[tuple(a + b for a, b in zip(e, m))]
-            basis._insert(vec)
-    return basis
+            shifts.append(vec)
+    return DegreeBasis(shifts)
 
 
 def reference_reduced_total(A, maxdeg):
