@@ -30,7 +30,6 @@ from .oracle import (
     total_sw_truncated,
 )
 from .closedform import (
-    CoeffTable,
     conjecture_predicate,
     has_spin,
     interval_simplex_matrix,

@@ -428,7 +428,7 @@ def crosscheck_spin(
 
 def _w_check(m: int, A: ReducedMatrix, _rec: object) -> Verdict:
     """Flags and (vanish,) of A for `crosscheck_w` in degree m."""
-    closed_poly = closed_coefficients(A, m).polynomial(A.omega.k)
+    closed_poly = closed_coefficients(A, m)
     vanish = (w3_vanishes_big if m == 3 else w4_vanishes_big)(A)
     wm = total_sw_truncated(A, m).degree_part(m)
     flags = []

@@ -28,18 +28,9 @@ from .census import (
     write_census_header,
 )
 from .closedform import CONJECTURE_READINGS, closed_coefficients, has_spin, subset_dots
-from .digraph import (
-    CyclicDigraphError,
-    DigraphFormatError,
-    from_matrix,
-    parse_digraph,
-    serialize_digraph,
-    to_matrix,
-)
+from .digraph import from_matrix, parse_digraph, serialize_digraph, to_matrix
 from .model import (
     DimensionVector,
-    InvalidMatrixError,
-    MatrixFormatError,
     ReducedMatrix,
     parse_decimal,
     parse_matrix,
@@ -63,11 +54,15 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse: Callable[[str], object]) -> object:
+    """parse(text of the file); an unreadable file exits 2, and so does any
+    ValueError of decoding or parsing, as `<path>: <message>`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         _fail(EXIT_INPUT, f"cannot read {path}: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_INPUT, f"{path}: {exc}")
 
 
 def _open_for_writing(path: str) -> TextIO:
@@ -75,15 +70,6 @@ def _open_for_writing(path: str) -> TextIO:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
         _fail(EXIT_INPUT, f"cannot write {path}: {exc}")
-
-
-def _load_matrix(path: str) -> ReducedMatrix:
-    """Parse a matrix file; malformed text or an invalid matrix exits 2."""
-    try:
-        A = parse_matrix(_read_text(path))
-    except (MatrixFormatError, InvalidMatrixError) as exc:
-        _fail(EXIT_INPUT, f"{path}: {exc}")
-    return A
 
 
 def _parse_omega(text: str) -> DimensionVector:
@@ -110,7 +96,7 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit one JSON object.")
 def check(matrix_file: str, as_json: bool) -> None:
     """Validity, orientability and Spin verdict for a matrix file."""
-    A = _load_matrix(matrix_file)
+    A = _load(matrix_file, parse_matrix)
     report = has_spin(A)
     dots = {",".join(str(i + 1) for i in S): kS for S, kS in subset_dots(A, 3)}
     lines = [
@@ -155,7 +141,7 @@ def sw(
         _fail(EXIT_INPUT, "choose at most one of --oracle, --closed, --both")
     if not picked:
         use_both = True
-    A = _load_matrix(matrix_file)
+    A = _load(matrix_file, parse_matrix)
     n = A.omega.n
     want_closed = use_closed or use_both
     want_oracle = use_oracle or use_both
@@ -169,7 +155,7 @@ def sw(
     obj: dict = {"degree": degree}
     closed_poly = oracle_poly = None
     if want_closed:
-        closed_poly = closed_coefficients(A, degree).polynomial(A.omega.k)
+        closed_poly = closed_coefficients(A, degree)
         obj["closed"] = polynomial_str(closed_poly)
         lines.append(f"closed w{degree}: {obj['closed']}")
     if want_oracle:
@@ -178,10 +164,10 @@ def sw(
         lines.append(f"oracle w{degree}: {obj['oracle']}")
     code = EXIT_OK
     if use_both:
+        # with every n_i >= degree the ideal starts above it: reducing changes nothing
         pre = all(d >= degree for d in A.omega.dims)
         level = "pre-reduction" if pre else "post-reduction"
-        compare = closed_poly if pre else normal_form(closed_poly, A)
-        agree = compare == oracle_poly
+        agree = normal_form(closed_poly, A) == oracle_poly
         lines.append(f"agreement ({level}): {'yes' if agree else 'no'}")
         obj["level"] = level
         obj["agree"] = agree
@@ -198,13 +184,9 @@ def sw(
 def convert(input_file: str, target: str, output: Optional[str]) -> None:
     """Convert between the matrix text format and the digraph JSON format."""
     if target == "digraph":
-        out = serialize_digraph(from_matrix(_load_matrix(input_file)))
+        out = serialize_digraph(from_matrix(_load(input_file, parse_matrix)))
     else:
-        try:
-            G = parse_digraph(_read_text(input_file))
-        except (DigraphFormatError, CyclicDigraphError, ValueError) as exc:
-            _fail(EXIT_INPUT, f"{input_file}: {exc}")
-        out = serialize_matrix(to_matrix(G))
+        out = serialize_matrix(to_matrix(_load(input_file, parse_digraph)))
     if output is None:
         click.echo(out, nl=False, file=sys.stdout)
     else:

@@ -2,8 +2,8 @@
 
 Everything here is a function of the counts k_S (rows of A carrying 1 in
 every column of S); the heavy lifting happened in deriving the formulas, so
-the code is mostly parity bookkeeping.  Coefficient tables are pre-reduction:
-they describe the class before dividing by the face ideal, which is the
+the code is mostly parity bookkeeping.  The closed forms are pre-reduction:
+they return the class before dividing by the face ideal, which is the
 whole class whenever every simplex factor has dimension >= the degree.
 """
 
@@ -11,35 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .model import DimensionVector, ReducedMatrix, SpinReport, spin_verdict
 from .oracle import GradedPolynomial, monomials_of_degree
 
 MultiIndex = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Coefficients of a fixed degree, keyed by sorted index multisets.
-
-    The key (i, i, j) holds the coefficient of x_i^2 x_j; every degree-d
-    multiset over the column indices appears, zeros included.
-    """
-
-    degree: int
-    entries: dict[MultiIndex, int] = field(compare=True)
-
-    def coefficient(self, key: MultiIndex) -> int:
-        return self.entries[tuple(sorted(key))]
-
-    def polynomial(self, k: int) -> GradedPolynomial:
-        bits, mask = _key_bits(k, self.degree), 0
-        for key, coefficient in self.entries.items():
-            if coefficient:
-                mask |= bits[key]
-        return GradedPolynomial(k, {self.degree: mask})
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,6 +27,16 @@ def _key_bits(k: int, d: int) -> dict[MultiIndex, int]:
         tuple(i for i, exp in enumerate(e) for _ in range(exp)): 1 << t
         for t, e in enumerate(monomials_of_degree(k, d))
     }
+
+
+def _polynomial(k: int, d: int, entries: dict[MultiIndex, int]) -> GradedPolynomial:
+    """The degree-d piece with the 0/1 coefficients `entries`, keyed by
+    sorted index multisets: the key (i, i, j) holds that of x_i^2 x_j."""
+    bits, mask = _key_bits(k, d), 0
+    for key, coefficient in entries.items():
+        if coefficient:
+            mask |= bits[key]
+    return GradedPolynomial(k, {d: mask})
 
 
 def binom_parity(n: int, r: int) -> int:
@@ -73,7 +60,7 @@ def subset_dots(A: ReducedMatrix, top: int) -> Iterator[tuple[tuple[int, ...], i
             yield S, pair[S[0]][S[-1]] if size <= 2 else A.k_count(S)
 
 
-def w2_coefficients(A: ReducedMatrix) -> CoeffTable:
+def w2_coefficients(A: ReducedMatrix) -> GradedPolynomial:
     """Pre-reduction w2: alpha_i on x_i^2 and beta_ij on x_i x_j."""
     k = A.omega.k
     single, pair = A.dots()
@@ -82,7 +69,7 @@ def w2_coefficients(A: ReducedMatrix) -> CoeffTable:
         entries[(i, i)] = binom_parity(1 + single[i], 2)
     for i, j in itertools.combinations(range(k), 2):
         entries[(i, j)] = ((1 + single[i]) * (1 + single[j]) + pair[i][j]) % 2
-    return CoeffTable(2, entries)
+    return _polynomial(k, 2, entries)
 
 
 def has_spin(A: ReducedMatrix) -> SpinReport:
@@ -138,8 +125,8 @@ def spin_sufficient(A: ReducedMatrix) -> bool:
     )
 
 
-def w3_coefficients(A: ReducedMatrix) -> CoeffTable:
-    """Pre-reduction w3 coefficients.
+def w3_coefficients(A: ReducedMatrix) -> GradedPolynomial:
+    """Pre-reduction w3 from its closed coefficients.
 
     The x_i^2 x_j coefficient uses the subtrahend k_i * k_ij; replacing it
     by the bare k_ij breaks the expansion comparison, which arbitrates.
@@ -163,7 +150,7 @@ def w3_coefficients(A: ReducedMatrix) -> CoeffTable:
             a, b = (x for x in tri if x != p)
             q += (single[p] + 1) * pair[a][b]
         entries[tri] = q % 2
-    return CoeffTable(3, entries)
+    return _polynomial(k, 3, entries)
 
 
 def w3_vanishes_big(A: ReducedMatrix) -> bool:
@@ -192,8 +179,8 @@ def w3_vanishes_big(A: ReducedMatrix) -> bool:
     return True
 
 
-def w4_coefficients(A: ReducedMatrix) -> CoeffTable:
-    """Pre-reduction w4 coefficients.
+def w4_coefficients(A: ReducedMatrix) -> GradedPolynomial:
+    """Pre-reduction w4 from its closed coefficients.
 
     The quadruple coefficient sums over unordered index pairs; the halved
     pair count then appears once per complementary pairing and stays
@@ -248,17 +235,17 @@ def w4_coefficients(A: ReducedMatrix) -> CoeffTable:
             + pair[a][d] * pair[b][c]
         )
         entries[quad] = r % 2
-    return CoeffTable(4, entries)
+    return _polynomial(k, 4, entries)
 
 
-def closed_coefficients(A: ReducedMatrix, m: int) -> CoeffTable:
-    """Pre-reduction w_m coefficients for m = 1..4.
+def closed_coefficients(A: ReducedMatrix, m: int) -> GradedPolynomial:
+    """Pre-reduction w_m, m = 1..4, from its closed coefficients.
 
     w_1 is the sum of x_i over the columns with an even self-dot, read off
     the counts directly.
     """
     if m == 1:
-        return CoeffTable(1, {(i,): (d + 1) % 2 for i, d in enumerate(A.self_dots())})
+        return _polynomial(A.omega.k, 1, {(i,): (d + 1) % 2 for i, d in enumerate(A.self_dots())})
     if m == 2:
         return w2_coefficients(A)
     if m == 3:

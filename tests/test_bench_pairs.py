@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,22 @@ def test_summary_counts_wins_by_direction_and_skips_failed_runs(bench_pairs):
     assert summary["t"]["parent"] == {"median": 11.0, "q1": 10.5, "q3": 12.0, "n": 3}
     assert summary["t"]["median_ratio_change_over_parent"] == 12.0 / 11.0
     assert bench_pairs.spread([4.0]) == {"median": 4.0, "q1": 4.0, "q3": 4.0, "n": 1}
+
+
+def test_checkout_id_names_the_head_only_for_committed_source(bench_pairs, tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    (tmp_path / "src").mkdir()
+    source = tmp_path / "src" / "m.py"
+    source.write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "src")
+    git("commit", "-q", "-m", "one")
+    clean = bench_pairs.checkout_id(tmp_path)
+    assert clean["git_head"] == git("rev-parse", "HEAD").strip()
+    source.write_text("x = 2\n")
+    edited = bench_pairs.checkout_id(tmp_path)
+    assert "git_head" not in edited
+    assert edited["src_sha256"] != clean["src_sha256"]

@@ -115,8 +115,22 @@ def _late_cycle_rows():
             (1,) * 22,
             tuple(range(1, 22, 2)),
         ),
+        # the first 3-subset on shortest cycles, {1, 2, 3}, is acyclic
+        (
+            (1,) * 6,
+            [[int(c) for c in r]
+             for r in ("111000", "011100", "001011", "100100", "010010", "100001")],
+            (1,) * 6,
+            (1, 2, 4),
+        ),
     ],
-    ids=["late-2x10", "cycle-22", "last-11-cycle-of-22", "interleaved-11-cycles"],
+    ids=[
+        "late-2x10",
+        "cycle-22",
+        "last-11-cycle-of-22",
+        "interleaved-11-cycles",
+        "acyclic-first-subset",
+    ],
 )
 def test_check_names_a_late_witness_quickly(runner, tmp_path, dims, rows, selection, subset):
     src = tmp_path / "late.txt"
@@ -282,6 +296,20 @@ def test_convert_rejects_booleans_as_integers(runner, tmp_path, doc, fragment):
     result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 2
     assert fragment in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check"], ["sw", "-m", "1"], ["convert", "--to", "digraph"], ["convert", "--to", "matrix"]],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, args):
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"1 1\n10\n\xff1\n")
+    result = runner.invoke(main, [*args, str(src)])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"{src}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -625,8 +653,7 @@ def assert_every_w4_matrix_flagged(runner, flag, vanish):
 
 def test_a_lying_w4_table_is_flagged(runner, monkeypatch):
     real = census.closed_coefficients
-    lie = lambda A, m: SimpleNamespace(polynomial=lambda k: flipped(real(A, m).polynomial(k), m))
-    monkeypatch.setattr(census, "closed_coefficients", lie)
+    monkeypatch.setattr(census, "closed_coefficients", lambda A, m: flipped(real(A, m), m))
     assert_every_w4_matrix_flagged(runner, "w4-expansion-mismatch", 0)
 
 

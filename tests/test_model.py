@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincover import (
@@ -374,6 +374,10 @@ def any_candidates(draw):
 
 @settings(deadline=None)
 @given(any_candidates())
+# Arcs 0->1, 1->2, 0->2, 1->3, 3->0, 2->4, 4->1, 2->5, 5->0: the girth is 3,
+# and the first 3-subset of vertices on shortest cycles, {0, 1, 2}, is a
+# transitive triangle, so the witness search must backtrack to {0, 1, 3}.
+@example((dv(*(1,) * 6), [0b000111, 0b001110, 0b110100, 0b001001, 0b010010, 0b100001]))
 def test_validate_matches_the_definition_with_its_witness(candidate):
     assert validate(*candidate) == _definitional_report(*candidate)
 

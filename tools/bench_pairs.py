@@ -51,17 +51,19 @@ def run_bench(checkout: Path, workload: str, seconds: float, trace: bool = False
 
 
 def checkout_id(checkout: Path) -> dict:
-    """The git HEAD of the checkout when it has one, and a hash of its
-    program source either way, so a copy without history is named too."""
+    """The git HEAD of the checkout when its src/ is that commit's, and a
+    hash of its program source either way, so a copy without history, or
+    with uncommitted source, is named too."""
     digest = hashlib.sha256()
     for path in sorted((checkout / "src").rglob("*.py")):
         digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
         digest.update(path.read_bytes() + b"\0")
     out = {"src_sha256": digest.hexdigest()}
     if (checkout / ".git").exists():
-        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                              text=True)
-        if head.returncode == 0:
+        git = lambda *args: subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                                           text=True)
+        head, status = git("rev-parse", "HEAD"), git("status", "--porcelain", "--", "src")
+        if head.returncode == status.returncode == 0 and not status.stdout:
             out["git_head"] = head.stdout.strip()
     return out
 
