@@ -50,9 +50,10 @@ SCHEMA_VERSION = 1
 
 
 class BudgetError(RuntimeError):
-    """A refused run: a search space larger than the caller allowed, or a
-    sample that the draw cap could not fill (space and budget then 0).  A
-    space of more than 2^64 candidates is never built; its space is 0."""
+    """A refused run: a search space larger than the caller allowed, a matrix
+    of more entries than that (space then 0), or a sample that the draw cap
+    could not fill (space and budget then 0).  A space of more than 2^64
+    candidates is never built; its space is 0."""
 
     def __init__(self, message: str, space: int = 0, budget: int = 0):
         super().__init__(message)
@@ -85,6 +86,14 @@ def check_budget(omega: DimensionVector, budget: int) -> None:
         space = 1 << bits if bits <= 64 else 0
         shown = space or f"2^{bits}"
         raise BudgetError(f"search space {shown} exceeds budget {budget}", space, budget)
+
+
+def check_size(omega: DimensionVector, budget: int) -> None:
+    """Refuse a matrix of more than budget entries n*k: each matrix of a
+    run costs time and memory in n*k, and one factor has a space of 1."""
+    n, k = omega.n, omega.k
+    if n * k > budget:
+        raise BudgetError(f"matrix of {n}x{k} = {n * k} entries exceeds budget {budget}", 0, budget)
 
 
 def _counter_rows(omega: DimensionVector, counter: int) -> list[int]:
@@ -170,6 +179,7 @@ def _walk(omega: DimensionVector) -> Iterator[tuple[int, ...]]:
 def enumerate_valid(omega: DimensionVector, budget: int = DEFAULT_BUDGET) -> Iterator[ReducedMatrix]:
     """All valid matrices over omega, ascending in the counter order."""
     check_budget(omega, budget)
+    check_size(omega, budget)
     for rows in _walk(omega):
         yield _checked(omega, rows, "the walk yielded an invalid matrix")
 
@@ -186,6 +196,7 @@ def sample_valid(
     family with almost no valid members is refused with a `BudgetError`.
     Each draw is judged on its counter, and only the kept ones are decoded.
     """
+    check_size(omega, budget)
     nbits = omega.n * (omega.k - 1)
     rng = random.Random(seed)
     found = 0

@@ -22,21 +22,12 @@ MultiIndex = tuple[int, ...]
 @functools.lru_cache(maxsize=None)
 def _key_bits(k: int, d: int) -> dict[MultiIndex, int]:
     """Per sorted index key of degree d over k columns, the bit of its
-    monomial in a degree-d piece."""
+    monomial in a degree-d piece: the key (i, i, j) is that of x_i^2 x_j.
+    The closed forms multiply each bit by its 0/1 coefficient and OR it in."""
     return {
         tuple(i for i, exp in enumerate(e) for _ in range(exp)): 1 << t
         for t, e in enumerate(monomials_of_degree(k, d))
     }
-
-
-def _polynomial(k: int, d: int, entries: dict[MultiIndex, int]) -> GradedPolynomial:
-    """The degree-d piece with the 0/1 coefficients `entries`, keyed by
-    sorted index multisets: the key (i, i, j) holds that of x_i^2 x_j."""
-    bits, mask = _key_bits(k, d), 0
-    for key, coefficient in entries.items():
-        if coefficient:
-            mask |= bits[key]
-    return GradedPolynomial(k, {d: mask})
 
 
 def binom_parity(n: int, r: int) -> int:
@@ -64,12 +55,12 @@ def w2_coefficients(A: ReducedMatrix) -> GradedPolynomial:
     """Pre-reduction w2: alpha_i on x_i^2 and beta_ij on x_i x_j."""
     k = A.omega.k
     single, pair = A.dots()
-    entries: dict[MultiIndex, int] = {}
+    bits, mask = _key_bits(k, 2), 0
     for i in range(k):
-        entries[(i, i)] = binom_parity(1 + single[i], 2)
+        mask |= bits[(i, i)] * binom_parity(1 + single[i], 2)
     for i, j in itertools.combinations(range(k), 2):
-        entries[(i, j)] = ((1 + single[i]) * (1 + single[j]) + pair[i][j]) % 2
-    return _polynomial(k, 2, entries)
+        mask |= bits[(i, j)] * (((1 + single[i]) * (1 + single[j]) + pair[i][j]) % 2)
+    return GradedPolynomial(k, {2: mask})
 
 
 def has_spin(A: ReducedMatrix) -> SpinReport:
@@ -82,7 +73,7 @@ def has_spin(A: ReducedMatrix) -> SpinReport:
     """
     k = A.omega.k
     dims = A.omega.dims
-    single = A.self_dots()
+    single = A.self_dots
     orientable = all([d % 2 == 1 for d in single])
 
     def report(tag: str, witness: tuple[int, ...]) -> SpinReport:
@@ -120,7 +111,7 @@ def spin_sufficient(A: ReducedMatrix) -> bool:
 
     Always implies Spin; when no factor is an interval it is equivalent.
     """
-    return all([d % 4 == 3 for d in A.self_dots()]) and all(
+    return all([d % 4 == 3 for d in A.self_dots]) and all(
         [p % 2 == 0 for i, row in enumerate(A.dots()[1]) for p in row[i + 1:]]
     )
 
@@ -133,15 +124,15 @@ def w3_coefficients(A: ReducedMatrix) -> GradedPolynomial:
     """
     k = A.omega.k
     single, pair = A.dots()
-    entries: dict[MultiIndex, int] = {}
+    bits, mask = _key_bits(k, 3), 0
     for i in range(k):
-        entries[(i, i, i)] = binom_parity(single[i] + 1, 3)
+        mask |= bits[(i, i, i)] * binom_parity(single[i] + 1, 3)
     for i, j in itertools.permutations(range(k), 2):
         p = (
             binom_parity(single[i] + 1, 2) * (single[j] + 1)
             + single[i] * pair[i][j]
         )
-        entries[tuple(sorted((i, i, j)))] = p % 2
+        mask |= bits[tuple(sorted((i, i, j)))] * (p % 2)
     for tri in itertools.combinations(range(k), 3):
         q = 1
         for p in tri:
@@ -149,8 +140,8 @@ def w3_coefficients(A: ReducedMatrix) -> GradedPolynomial:
         for p in tri:
             a, b = (x for x in tri if x != p)
             q += (single[p] + 1) * pair[a][b]
-        entries[tri] = q % 2
-    return _polynomial(k, 3, entries)
+        mask |= bits[tri] * (q % 2)
+    return GradedPolynomial(k, {3: mask})
 
 
 def w3_vanishes_big(A: ReducedMatrix) -> bool:
@@ -188,24 +179,24 @@ def w4_coefficients(A: ReducedMatrix) -> GradedPolynomial:
     the leading product mod 2 and fails the expansion comparison.
     """
     k = A.omega.k
-    (single, pair), cols = A.dots(), A.columns()
-    entries: dict[MultiIndex, int] = {}
+    (single, pair), cols = A.dots(), A.columns
+    bits, mask = _key_bits(k, 4), 0
     for i in range(k):
-        entries[(i, i, i, i)] = binom_parity(single[i] + 1, 4)
+        mask |= bits[(i, i, i, i)] * binom_parity(single[i] + 1, 4)
     for i, j in itertools.permutations(range(k), 2):
         kij = pair[i][j]
         p1 = (
             binom_parity(single[i] + 1, 3) * (single[j] + 1)
             + binom_parity(single[i], 2) * kij
         )
-        entries[tuple(sorted((i, i, i, j)))] = p1 % 2
+        mask |= bits[tuple(sorted((i, i, i, j)))] * (p1 % 2)
     for i, j in itertools.combinations(range(k), 2):
         p2 = (
             binom_parity(single[i] + 1, 2) * binom_parity(single[j] + 1, 2)
             + single[i] * single[j] * pair[i][j]
             + binom_parity(pair[i][j], 2)
         )
-        entries[(i, i, j, j)] = p2 % 2
+        mask |= bits[(i, i, j, j)] * (p2 % 2)
     for sq in range(k):
         for i2, i3 in itertools.combinations(range(k), 2):
             if sq in (i2, i3):
@@ -219,7 +210,7 @@ def w4_coefficients(A: ReducedMatrix) -> GradedPolynomial:
                 + pair[sq][i3] * (single[i2] + 1)
             )
             q += pair[sq][i2] * pair[sq][i3] + kt
-            entries[tuple(sorted((sq, sq, i2, i3)))] = q % 2
+            mask |= bits[tuple(sorted((sq, sq, i2, i3)))] * (q % 2)
     for quad in itertools.combinations(range(k), 4):
         r = 1
         for p in quad:
@@ -234,8 +225,8 @@ def w4_coefficients(A: ReducedMatrix) -> GradedPolynomial:
             + pair[a][c] * pair[b][d]
             + pair[a][d] * pair[b][c]
         )
-        entries[quad] = r % 2
-    return _polynomial(k, 4, entries)
+        mask |= bits[quad] * (r % 2)
+    return GradedPolynomial(k, {4: mask})
 
 
 def closed_coefficients(A: ReducedMatrix, m: int) -> GradedPolynomial:
@@ -245,7 +236,9 @@ def closed_coefficients(A: ReducedMatrix, m: int) -> GradedPolynomial:
     the counts directly.
     """
     if m == 1:
-        return _polynomial(A.omega.k, 1, {(i,): (d + 1) % 2 for i, d in enumerate(A.self_dots())})
+        bits = _key_bits(A.omega.k, 1)
+        mask = sum([bits[(i,)] * ((d + 1) % 2) for i, d in enumerate(A.self_dots)])
+        return GradedPolynomial(A.omega.k, {1: mask})
     if m == 2:
         return w2_coefficients(A)
     if m == 3:
@@ -295,7 +288,7 @@ def w4_vanishes_big(A: ReducedMatrix) -> bool:
     if any(d < 4 for d in A.omega.dims):
         raise ValueError("every factor dimension must be at least 4")
     k = A.omega.k
-    (single, pair), cols = A.dots(), A.columns()
+    (single, pair), cols = A.dots(), A.columns
     theta = [d % 8 for d in single]
     for i in range(k):
         if theta[i] not in (0, 1, 2, 7):

@@ -95,7 +95,7 @@ def from_matrix(A: ReducedMatrix) -> WeightedDigraph:
     It is built without the checks of the `WeightedDigraph` constructor: the
     edges of a `ReducedMatrix` are in range, loop-free and nonzero, each
     weight is masked to its block, and A's constructor found them acyclic."""
-    cols, dims, offsets = A.columns(), A.omega.dims, A.omega.offsets
+    cols, dims, offsets = A.columns, A.omega.dims, A.omega.offsets
     edges = {}
     for i, succ in enumerate(block_successors(A)):
         off, mask = offsets[i], (1 << dims[i]) - 1

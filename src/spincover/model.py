@@ -124,11 +124,12 @@ class ReducedMatrix:
     (r, c).  Only a characteristic matrix can be built: the constructor
     derives the block successor masks `_succ` and refuses a cycle among them
     with `InvalidMatrixError`, so every function that takes a ReducedMatrix
-    takes a valid one.  The column ints `_cols`, the self-dots `_single` and
-    the dot counts `_dots` are computed on first use (None until then) and
-    shared by every later reader."""
+    takes a valid one.  It then reads the column ints `columns` (bit t of
+    column j is entry (t, j)) and the self-dots `self_dots` k_i, their
+    popcounts; the pair table `_dots` is built on first use (None until
+    then) and shared by every later reader."""
 
-    __slots__ = ("omega", "rows", "_cols", "_single", "_dots", "_succ")
+    __slots__ = ("omega", "rows", "columns", "self_dots", "_dots", "_succ")
 
     def __init__(self, omega: DimensionVector, rows: Sequence[int]):
         if len(rows) != omega.n:
@@ -148,8 +149,11 @@ class ReducedMatrix:
                 f"not a characteristic matrix; principal minor vanishes "
                 f"at row selection {sel}, column subset {sub}"
             )
-        self._cols: Optional[tuple[int, ...]] = None
-        self._single: Optional[tuple[int, ...]] = None
+        # Column j is every k-th character of the row names, last row first.
+        k = omega.k
+        names = "".join(row_strings(reversed(self.rows), k))
+        self.columns = tuple([int(names[j::k], 2) for j in range(k)])
+        self.self_dots = tuple([c.bit_count() for c in self.columns])
         self._dots: Optional[tuple] = None
 
     @classmethod
@@ -178,39 +182,21 @@ class ReducedMatrix:
     def __repr__(self) -> str:
         return f"ReducedMatrix({serialize_matrix(self)!r})"
 
-    def columns(self) -> tuple[int, ...]:
-        """Column j as the int whose bit t is entry (t, j), scattered row by row."""
-        if self._cols is None:
-            cols = [0] * self.omega.k
-            for t, r in enumerate(self.rows):
-                while r:
-                    low = r & -r
-                    cols[low.bit_length() - 1] |= 1 << t
-                    r ^= low
-            self._cols = tuple(cols)
-        return self._cols
-
     def block(self, i: int, j: int) -> int:
         """v_ij, the part of column j lying in block-row i, as an int whose
         bit t is row t of block i."""
         k = self.omega.k
         if not (0 <= i < k and 0 <= j < k):
             raise IndexError((i, j))
-        return (self.columns()[j] >> self.omega.offsets[i]) & ((1 << self.omega.dims[i]) - 1)
-
-    def self_dots(self) -> tuple[int, ...]:
-        """The self-dots k_i, the popcounts of the column ints; kept."""
-        if self._single is None:
-            self._single = tuple([c.bit_count() for c in self.columns()])
-        return self._single
+        return (self.columns[j] >> self.omega.offsets[i]) & ((1 << self.omega.dims[i]) - 1)
 
     def dots(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The self-dots k_i, and the table whose entry i, j is k_ij (k_i on
         the diagonal); built in one pass over the column ints and kept."""
         if self._dots is None:
-            cols = self.columns()
+            cols = self.columns
             pair = tuple([tuple([(a & b).bit_count() for b in cols]) for a in cols])
-            self._dots = self.self_dots(), pair
+            self._dots = self.self_dots, pair
         return self._dots
 
     def k_count(self, cols: Iterable[int]) -> int:
@@ -218,7 +204,7 @@ class ReducedMatrix:
         S = tuple(cols)
         if not S:
             raise ValueError("empty column set")
-        cols = self.columns()
+        cols = self.columns
         acc = (1 << self.omega.n) - 1
         for c in S:
             acc &= cols[c]

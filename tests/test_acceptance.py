@@ -12,6 +12,8 @@ from click.testing import CliRunner
 
 from spincover import (
     DimensionVector,
+    SpinReport,
+    WeightedDigraph,
     conjecture_predicate,
     crosscheck_spin,
     crosscheck_w,
@@ -21,7 +23,9 @@ from spincover import (
     interval_simplex_matrix,
     oracle_class_is_zero,
     oracle_has_spin,
+    serialize_matrix,
     spin_sufficient,
+    to_matrix,
     validate,
     verify_conjecture,
     w3_vanishes_big,
@@ -184,3 +188,38 @@ def test_11_census_files_identical_across_thread_counts(tmp_path):
     assert census([*pooled, "--threads", "1"], "c.jsonl") == census(
         [*pooled, "--threads", "8"], "d.jsonl"
     )
+
+
+def non_spin_bott_digraph(k: int) -> WeightedDigraph:
+    """The real Bott manifold over (1,)^k, k >= 5, whose digraph has the arcs
+    3->2, 4->1, 5->1, 5->2 and (v-1)->v, (v-2)->v for v = 6..k (1-based):
+    weakly connected, with every in-degree 0 or 2."""
+    arcs = [(3, 2), (4, 1), (5, 1), (5, 2)]
+    arcs += [(u, v) for v in range(6, k + 1) for u in (v - 1, v - 2)]
+    return WeightedDigraph(DimensionVector((1,) * k), {(u - 1, v - 1): 1 for u, v in arcs})
+
+
+def test_12_a_real_bott_family_without_spin(tmp_path):
+    # Each k_i = 1 + indeg(i) is odd, so every member is orientable; vertices
+    # 1 and 2 are not adjacent and share the one source 5, so k_12 = 1, while
+    # condition iii asks k_12 = (v_12(k_1+1) + v_21(k_2+1))/2 = 0 mod 2.
+    with Stopwatch() as sw:
+        for k in range(5, 17):
+            G = non_spin_bott_digraph(k)
+            A = to_matrix(G)
+            reached = {0}
+            for _ in range(k):
+                reached |= {b for i, j in G.edges for a, b in ((i, j), (j, i)) if a in reached}
+            assert len(reached) == k
+            assert {weighted_in_degree(G, v) for v in range(k)} == {0, 2}
+            assert A.dots()[1][0][1] == 1
+            assert has_spin(A) == SpinReport(True, False, "iii", (0, 1)), k
+            assert has_spin_digraph(G) == SpinReport(True, False, "ii", (0, 1)), k
+            assert not oracle_has_spin(A)
+            assert oracle_class_is_zero(A, 1)
+    assert sw.under(5.0)
+    path = tmp_path / "bott5.txt"
+    path.write_text(serialize_matrix(to_matrix(non_spin_bott_digraph(5))), encoding="utf-8")
+    result = CliRunner().invoke(main_cli, ["check", str(path)])
+    assert result.exit_code == 1
+    assert "orientable: yes\nspin: no\nfailed condition: iii at (1,2)\n" in result.output

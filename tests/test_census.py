@@ -650,17 +650,11 @@ def test_permuting_rows_within_blocks_keeps_the_classes_and_verdicts():
 
 
 def test_one_count_table_per_matrix(monkeypatch):
-    # has_spin and spin_sufficient read one self-dot table per matrix, with
-    # or without a record, and the pair table at most once, only for the
-    # matrices that pass condition i; no count is recomputed through k_count
-    singles, built, counted = [], [], []
-    real_self_dots, real_dots = ReducedMatrix.self_dots, ReducedMatrix.dots
-    real_k_count = ReducedMatrix.k_count
-
-    def counting_self_dots(A):
-        if A._single is None:
-            singles.append(A)
-        return real_self_dots(A)
+    # has_spin and spin_sufficient build the pair table at most once per
+    # matrix, only for the matrices that pass condition i, with or without a
+    # record; no count is recomputed through k_count
+    built, counted = [], []
+    real_dots, real_k_count = ReducedMatrix.dots, ReducedMatrix.k_count
 
     def counting_dots(A):
         if A._dots is None:
@@ -673,14 +667,12 @@ def test_one_count_table_per_matrix(monkeypatch):
 
     past_i = {A.rows for A in enumerate_valid(dv(1, 2, 2)) if has_spin(A).failed_condition != "i"}
     assert len(past_i) == 5
-    monkeypatch.setattr(ReducedMatrix, "self_dots", counting_self_dots)
     monkeypatch.setattr(ReducedMatrix, "dots", counting_dots)
     monkeypatch.setattr(ReducedMatrix, "k_count", counting_k_count)
     for sink in ([].append, None):
-        singles.clear()
         built.clear()
         report = crosscheck_spin(dv(1, 2, 2), sink=sink)
-        assert len(singles) == len(set(singles)) == report.total_valid == 157
+        assert report.total_valid == 157
         assert len(built) == len(set(built)) == 5
         assert {A.rows for A in built} == past_i
     assert counted == []

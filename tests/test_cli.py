@@ -2,12 +2,19 @@ import contextlib
 import gc
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincover import GradedPolynomial, census, cli, normal_form
 from spincover.cli import main
@@ -407,6 +414,93 @@ def test_huge_space_is_refused_by_its_exponent(runner, command, omega, bits):
     assert time.perf_counter() - start < 2
     assert result.exit_code == 3
     assert result.stderr == f"search space 2^{bits} exceeds budget 16777216\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cap_address_space():
+    """Limit a child process to 1 GiB of address space, so that a command
+    which builds a huge matrix fails in the child instead of filling the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args, size",
+    [
+        (["enumerate", "--omega", "100000000000"], "100000000000x1 = 100000000000"),
+        (["verify", "--omega", "1000000000,3", "--check", "w3", "--sample", "1"],
+         "1000000003x2 = 2000000006"),
+        (["verify", "--omega", "30000000", "--check", "spin"], "30000000x1 = 30000000"),
+        (["verify", "--omega", "10000000,3", "--check", "w3", "--sample", "1"],
+         "10000003x2 = 20000006"),
+    ],
+)
+def test_a_matrix_of_more_entries_than_the_budget_is_refused(tmp_path, args, size):
+    # One factor has a search space of 1, and a sample is never sized by its
+    # space, so these are refused by n*k alone, before any matrix is built.
+    census = tmp_path / "census.jsonl"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spincover.cli", *args, "--census", str(census)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 3
+    assert proc.stderr == f"matrix of {size} entries exceeds budget 16777216\n"
+    assert proc.stdout == "" and not census.exists()
+
+
+def _meets_the_exit_contract(result) -> None:
+    assert result.exit_code in range(5), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert "Traceback" not in result.stdout + result.stderr
+
+
+FILE_COMMANDS = [
+    ["check"],
+    *(["sw", "-m", str(m), *mode] for m in range(1, 5)
+      for mode in ([], ["--oracle"], ["--closed"], ["--both"])),
+    ["convert", "--to", "digraph"],
+    ["convert", "--to", "matrix"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.one_of(st.binary(max_size=64), st.text("01 2\n#", max_size=64).map(str.encode)),
+    args=st.sampled_from(FILE_COMMANDS),
+)
+def test_any_file_meets_the_exit_contract(fuzz_file, data, args):
+    fuzz_file.write_bytes(data)
+    _meets_the_exit_contract(CliRunner().invoke(main, [*args, str(fuzz_file)]))
+
+
+FAMILY_COMMANDS = [
+    ["enumerate"],
+    *(["verify", "--check", what] for what in ("spin", "w3", "w4", "elementary")),
+    ["conjecture", "--t", "1"],
+    ["conjecture", "--t", "2"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega=st.one_of(st.text(max_size=8), st.text("0123456789, ", max_size=10)),
+    args=st.sampled_from(FAMILY_COMMANDS),
+)
+def test_any_omega_meets_the_exit_contract(omega, args):
+    result = CliRunner().invoke(main, [*args, "--omega", omega, "--budget", "4096"])
+    _meets_the_exit_contract(result)
 
 
 @pytest.mark.parametrize("omega", ["0,2", "x", "2,"])

@@ -289,7 +289,7 @@ def drawn_with_residues(dims, count, residues, seed=11):
     rng, kept = random.Random(seed), []
     while len(kept) < count:
         A = upper_triangular_draw(rng, dims)
-        if all(d % 8 in residues for d in A.self_dots()):
+        if all(d % 8 in residues for d in A.self_dots):
             kept.append(A)
     return kept
 

@@ -106,13 +106,6 @@ def test_dimension_vector_sizes_are_read_once(dims):
         w.dims = (1,)
 
 
-def test_column_ints_are_built_on_first_use(spin_235):
-    A = ReducedMatrix(spin_235.omega, spin_235.rows)
-    assert A._cols is None
-    assert A.k_count([0, 1, 2]) == 1
-    assert A._cols is not None
-
-
 def test_count_table_matches_k_count():
     # on seeded valid matrices of up to 8 factors
     rng = random.Random(12)
@@ -122,9 +115,9 @@ def test_count_table_matches_k_count():
         A = ReducedMatrix(omega, perfbench_common().random_valid_matrix(rng, dims))
         assert A._dots is None
         if rng.random() < 0.5:
-            assert A.self_dots() == tuple(A.k_count([i]) for i in range(omega.k))
+            assert A.self_dots == tuple(A.k_count([i]) for i in range(omega.k))
         table = single, pair = A.dots()
-        assert A.dots() is table and A.self_dots() is single
+        assert A.dots() is table and A.self_dots is single
         for i in range(omega.k):
             assert single[i] == pair[i][i] == A.k_count([i])
             for j in range(omega.k):
@@ -203,9 +196,9 @@ def test_block_successors_read_blocks_and_diagonals():
 
 def test_derived_columns_and_successors_match_their_definitions():
     # The block successor masks against their entry-by-entry definition on
-    # valid and invalid candidates; on the valid ones, columns() scatters
-    # the set bits of each row, cold and warm, and block_successors hands
-    # out the constructor's masks, kept on the matrix as a tuple.
+    # valid and invalid candidates; on the valid ones, the constructor's
+    # columns are the entry-by-entry columns, and block_successors hands out
+    # its masks, kept on the matrix as a tuple.
     cases = seeded_candidates()
     assert {is_valid(omega, rows) for omega, rows in cases} == {True, False}
     for omega, rows in cases:
@@ -224,10 +217,19 @@ def test_derived_columns_and_successors_match_their_definitions():
         if not is_valid(omega, rows):
             continue
         A = ReducedMatrix(omega, rows)
-        assert A.columns() == columns_bitwise(A) == A.columns()
+        assert A.columns == columns_bitwise(A)
         first = block_successors(A)
         assert type(first) is tuple and first == want
         assert block_successors(A) is first
+    # Rows of more than ROW_NAME_BITS columns are named one by one, and a
+    # one-factor matrix of 5,000 rows reads a column of 5,000 binary digits.
+    dims = (1, 2, 1, 3, 1, 1, 2, 1, 1, 1, 1, 2)
+    wide = perfbench_common().random_valid_matrix(random.Random(27), dims)
+    tall = identity_matrix(dv(5000))
+    for A in (ReducedMatrix(dv(*dims), wide), tall):
+        assert A.columns == columns_bitwise(A)
+        assert A.self_dots == tuple([c.bit_count() for c in A.columns])
+    assert tall.self_dots == (5000,)
 
 
 def test_cycle_vertices_name_the_vertices_on_a_cycle_like_the_reference():
