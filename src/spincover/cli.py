@@ -1,56 +1,43 @@
 """Batch command line surface.
 
 Exit codes are a contract: 0 affirmative or clean, 1 negative verdict,
-2 input error, 3 budget refusal, 4 discrepancy between deciders.
+2 input error (a usage error included), 3 budget refusal, 4 discrepancy
+between deciders.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NoReturn, Optional, TextIO
 
-import click
-
 from .census import (
-    DEFAULT_BUDGET,
-    DEFAULT_SEED,
-    BudgetError,
-    DiscrepancyReport,
-    Sink,
-    crosscheck_spin,
-    crosscheck_w,
-    run_family,
-    verify_conjecture,
-    verify_elementary,
+    DEFAULT_BUDGET, DEFAULT_SEED, BudgetError, DiscrepancyReport, Sink, check_size,
+    crosscheck_spin, crosscheck_w, run_family, verify_conjecture, verify_elementary,
     write_census_header,
 )
 from .closedform import CONJECTURE_READINGS, closed_coefficients, has_spin, subset_dots
 from .digraph import from_matrix, parse_digraph, serialize_digraph, to_matrix
-from .model import (
-    DimensionVector,
-    ReducedMatrix,
-    parse_decimal,
-    parse_matrix,
-    serialize_matrix,
-    validate,  # unused here; perfbench's tracer test reads this binding
-)
+from .model import DimensionVector, ReducedMatrix, parse_decimal, parse_matrix, serialize_matrix
+from .model import validate  # unused here; perfbench's tracer test reads this binding
 from .oracle import normal_form, polynomial_str, sw_oracle
 
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
-EXIT_INPUT = 2
-EXIT_BUDGET = 3
-EXIT_DISCREPANCY = 4
+EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_BUDGET, EXIT_DISCREPANCY = range(5)
 
 
-# click.echo gets an explicit file throughout: without one, click caches a
-# wrapper per distinct sys.stdout/sys.stderr that keeps a redirected stream
-# alive after an in-process call.
+def _echo(text: str, stream: TextIO) -> None:
+    """Write and flush, so that a closed pipe fails inside `main`."""
+    stream.write(text)
+    stream.flush()
+
+
 def _fail(code: int, message: str) -> NoReturn:
-    click.echo(message, file=sys.stderr)
+    _echo(message + "\n", sys.stderr)
     sys.exit(code)
 
 
@@ -82,59 +69,110 @@ def _parse_omega(text: str) -> DimensionVector:
 
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) if as_json else "\n".join(lines)
-    click.echo(text, file=sys.stdout)
+    _echo(text + "\n", sys.stdout)
 
 
-@click.group()
-def main() -> None:
-    """Spin structures and Stiefel-Whitney classes of small covers over
-    products of simplices, from the reduced characteristic matrix."""
+def _input_file(path: str) -> str:
+    if os.path.isdir(path) or not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not an existing file")
+    return path
 
 
-@main.command()
-@click.argument("matrix_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--json", "as_json", is_flag=True, help="Emit one JSON object.")
+def positive(text: str) -> int:
+    """An int of at least 1; argparse words a ValueError as `invalid positive value`."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _parser(make: Callable[..., argparse.ArgumentParser], **kwargs) -> argparse.ArgumentParser:
+    """`--help` is the one help flag, and no long option is abbreviated: `--deg` is refused."""
+    parser = make(add_help=False, allow_abbrev=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+_PARSER = _parser(argparse.ArgumentParser, prog="spincover", description=(
+    "Spin structures and Stiefel-Whitney classes of small covers over products "
+    "of simplices, from the reduced characteristic matrix."))
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+
+def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None:
+    """Run the command argv names (default sys.argv[1:]); it exits with its
+    code, and a usage error exits 2.  Standalone, a closed output pipe exits 1
+    quietly and an interrupt prints `Aborted!` and exits 1; otherwise both
+    propagate.  The callback is read from `main.commands` on every call."""
+    try:
+        args = vars(_PARSER.parse_args(argv))
+        args.pop("threads", None)  # accepted and ignored
+        return main.commands[args.pop("command")].callback(**args)
+    except (KeyboardInterrupt, BrokenPipeError) as exc:
+        if not standalone_mode:
+            raise
+        if isinstance(exc, KeyboardInterrupt):
+            _echo("\nAborted!\n", sys.stderr)
+        else:  # Python flushes stdout at exit: point it at devnull, where that finds no pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(EXIT_NEGATIVE)
+
+
+main.commands = {}
+
+
+def _opt(*flags: str, **settings) -> tuple[tuple[str, ...], dict]:
+    return flags, settings
+
+
+def command(*options: tuple[tuple[str, ...], dict], name: Optional[str] = None):
+    """Register the decorated function as a command (named after it by default)."""
+
+    def register(fn: Callable[..., None]) -> Callable[..., None]:
+        cmd = name or fn.__name__
+        make = functools.partial(_SUBPARSERS.add_parser, cmd, help=fn.__doc__.splitlines()[0])
+        sub = _parser(make, description=fn.__doc__)
+        for flags, settings in options:
+            sub.add_argument(*flags, **settings)
+        main.commands[cmd] = SimpleNamespace(name=cmd, callback=fn)
+        return fn
+
+    return register
+
+
+_JSON = _opt("--json", dest="as_json", action="store_true", help="Emit one JSON object.")
+_MATRIX_FILE = _opt("matrix_file", type=_input_file)
+
+
+@command(_MATRIX_FILE, _JSON)
 def check(matrix_file: str, as_json: bool) -> None:
     """Validity, orientability and Spin verdict for a matrix file."""
     A = _load(matrix_file, parse_matrix)
     report = has_spin(A)
     dots = {",".join(str(i + 1) for i in S): kS for S, kS in subset_dots(A, 3)}
-    lines = [
-        "valid: yes",
-        f"orientable: {'yes' if report.orientable else 'no'}",
-        f"spin: {'yes' if report.spin else 'no'}",
-    ]
+    lines = ["valid: yes", f"orientable: {'yes' if report.orientable else 'no'}",
+             f"spin: {'yes' if report.spin else 'no'}"]
     if report.failed_condition is not None:
         witness = "(" + ",".join(str(i + 1) for i in report.witness) + ")"
         lines.append(f"failed condition: {report.failed_condition} at {witness}")
     lines.extend(f"k[{key}] = {val}" for key, val in dots.items())
-    obj = {
-        "valid": True,
-        "orientable": report.orientable,
-        "spin": report.spin,
-        "failed_condition": report.failed_condition,
-        "witness": [i + 1 for i in report.witness] if report.witness else None,
-        "k": dots,
-    }
+    obj = {"valid": True, "orientable": report.orientable, "spin": report.spin,
+           "failed_condition": report.failed_condition, "k": dots,
+           "witness": [i + 1 for i in report.witness] if report.witness else None}
     _emit(obj, as_json, lines)
     sys.exit(EXIT_OK if report.spin else EXIT_NEGATIVE)
 
 
-@main.command()
-@click.argument("matrix_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--degree", "-m", type=int, required=True, help="Class degree.")
-@click.option("--oracle", "use_oracle", is_flag=True, help="Ring-reduced class only.")
-@click.option("--closed", "use_closed", is_flag=True, help="Closed-form coefficients only.")
-@click.option("--both", "use_both", is_flag=True, help="Both plus an agreement verdict.")
-@click.option("--json", "as_json", is_flag=True, help="Emit one JSON object.")
-def sw(
-    matrix_file: str,
-    degree: int,
-    use_oracle: bool,
-    use_closed: bool,
-    use_both: bool,
-    as_json: bool,
-) -> None:
+@command(
+    _MATRIX_FILE,
+    _opt("--degree", "-m", type=int, required=True, help="Class degree."),
+    _opt("--oracle", dest="use_oracle", action="store_true", help="Ring-reduced class only."),
+    _opt("--closed", dest="use_closed", action="store_true", help="Closed-form coefficients only."),
+    _opt("--both", dest="use_both", action="store_true", help="Both plus an agreement verdict."),
+    _JSON,
+)
+def sw(matrix_file: str, degree: int, use_oracle: bool, use_closed: bool, use_both: bool,
+       as_json: bool) -> None:
     """Print a Stiefel-Whitney class of the cover in a matrix file."""
     picked = [f for f in (use_oracle, use_closed, use_both) if f]
     if len(picked) > 1:
@@ -177,31 +215,32 @@ def sw(
     sys.exit(code)
 
 
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--to", "target", type=click.Choice(["matrix", "digraph"]), required=True)
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
+@command(
+    _opt("input_file", type=_input_file),
+    _opt("--to", dest="target", choices=["matrix", "digraph"], required=True),
+    _opt("--output", "-o"),
+)
 def convert(input_file: str, target: str, output: Optional[str]) -> None:
     """Convert between the matrix text format and the digraph JSON format."""
     if target == "digraph":
         out = serialize_digraph(from_matrix(_load(input_file, parse_matrix)))
     else:
-        out = serialize_matrix(to_matrix(_load(input_file, parse_digraph)))
+        G = _load(input_file, parse_digraph)
+        try:
+            check_size(G.omega, DEFAULT_BUDGET)
+        except BudgetError as exc:
+            _fail(EXIT_BUDGET, str(exc))
+        out = serialize_matrix(to_matrix(G))
     if output is None:
-        click.echo(out, nl=False, file=sys.stdout)
+        _echo(out, sys.stdout)
     else:
         with _open_for_writing(output) as fh:
             fh.write(out)
     sys.exit(EXIT_OK)
 
 
-def _run_family(
-    omega_text: str,
-    census_path: Optional[str],
-    seed: int,
-    budget: int,
-    driver: Callable[..., DiscrepancyReport],
-) -> DiscrepancyReport:
+def _run_family(omega_text: str, census_path: Optional[str], seed: int, budget: int,
+                driver: Callable[..., DiscrepancyReport]) -> DiscrepancyReport:
     """Parse omega and return driver(omega, sink=...), streaming an optional census.
 
     A budget refusal (a search space over budget, or a sample the draw cap
@@ -229,41 +268,26 @@ def _run_family(
 
 
 def _report_exit(report: DiscrepancyReport, as_json: bool, extra: dict) -> None:
-    obj = {
-        "omega": list(report.omega),
-        "valid": report.total_valid,
-        "counts": report.counts,
-        "discrepancies": len(report.discrepancies),
-        # Always 0: an elementary component keeps only its matrix's arcs into
-        # two vertices, a subgraph of an acyclic relation, so it is valid.
-        "component_failures": 0,
-        **extra,
-    }
+    # component_failures is always 0: an elementary component keeps only its
+    # matrix's arcs into two vertices, a subgraph of an acyclic relation, so it is valid.
+    obj = {"omega": list(report.omega), "valid": report.total_valid, "counts": report.counts,
+           "discrepancies": len(report.discrepancies), "component_failures": 0, **extra}
     lines = [report.summary()]
     lines.extend(f"  {','.join(rec.flags)}: {rec.matrix}" for rec in report.discrepancies)
     _emit(obj, as_json, lines)
     sys.exit(EXIT_DISCREPANCY if report.discrepancies else EXIT_OK)
 
 
-_COMMON = [
-    click.option("--omega", "omega_text", required=True, help="Comma-separated factor dimensions."),
-    click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True),
-    click.option(
-        "--threads",
-        type=click.IntRange(min=1),
-        default=1,
-        expose_value=False,
-        help="Accepted and ignored: a family runs in one process.",
-    ),
-    click.option("--census", "census_path", type=click.Path(dir_okay=False), default=None),
-    click.option("--json", "as_json", is_flag=True, help="Emit one JSON object."),
-]
-
-
-def _common(fn):
-    for deco in reversed(_COMMON):
-        fn = deco(fn)
-    return fn
+_COMMON = (
+    _opt("--omega", dest="omega_text", metavar="OMEGA", required=True,
+         help="Comma-separated factor dimensions."),
+    _opt("--budget", type=int, default=DEFAULT_BUDGET, help="(default: %(default)s)"),
+    _opt("--threads", type=positive, default=1,
+         help="Accepted and ignored: a family runs in one process."),
+    _opt("--census", dest="census_path", metavar="CENSUS"),
+    _JSON,
+)
+_SEED = _opt("--seed", type=int, default=DEFAULT_SEED, help="(default: %(default)s)")
 
 
 def _no_check(A: ReducedMatrix, rec: object) -> tuple[list[str], tuple[()]]:
@@ -271,8 +295,7 @@ def _no_check(A: ReducedMatrix, rec: object) -> tuple[list[str], tuple[()]]:
     return [], ()
 
 
-@main.command(name="enumerate")
-@_common
+@command(*_COMMON, name="enumerate")
 def enumerate_cmd(omega_text: str, budget: int, census_path: Optional[str], as_json: bool) -> None:
     """Enumerate the valid matrices of a family, optionally writing a census."""
     driver = functools.partial(run_family, keys=(), check=_no_check, budget=budget)
@@ -293,28 +316,15 @@ _VERIFY = {
 _SAMPLED = ("w3", "w4")
 
 
-@main.command()
-@_common
-@click.option(
-    "--check",
-    "what",
-    type=click.Choice(list(_VERIFY)),
-    default="spin",
-    show_default=True,
+@command(
+    *_COMMON,
+    _opt("--check", dest="what", choices=list(_VERIFY), default="spin",
+         help="(default: %(default)s)"),
+    _opt("--sample", type=positive, help="Seeded valid-sample size (w3/w4)."),
+    _SEED,
 )
-@click.option(
-    "--sample", type=click.IntRange(min=1), default=None, help="Seeded valid-sample size (w3/w4)."
-)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-def verify(
-    omega_text: str,
-    budget: int,
-    census_path: Optional[str],
-    as_json: bool,
-    what: str,
-    sample: Optional[int],
-    seed: int,
-) -> None:
+def verify(omega_text: str, budget: int, census_path: Optional[str], as_json: bool, what: str,
+           sample: Optional[int], seed: int) -> None:
     """Cross-check closed-form criteria against the digraph form and oracle."""
     if sample is not None and what not in _SAMPLED:
         _fail(EXIT_INPUT, "--sample applies only to w3/w4 checks")
@@ -324,27 +334,16 @@ def verify(
     _report_exit(report, as_json, {"check": what})
 
 
-@main.command()
-@_common
-@click.option("--t", "t", type=int, required=True, help="Conjecture level (1 or 2).")
-@click.option(
-    "--reading",
-    type=click.Choice(list(CONJECTURE_READINGS)),
-    default="shifted",
-    show_default=True,
+@command(
+    *_COMMON,
+    _opt("--t", type=int, required=True, help="Conjecture level (1 or 2)."),
+    _opt("--reading", choices=list(CONJECTURE_READINGS), default="shifted",
+         help="(default: %(default)s)"),
+    _opt("--sample", type=positive, help="Seeded valid-sample size."),
+    _SEED,
 )
-@click.option("--sample", type=click.IntRange(min=1), default=None, help="Seeded valid-sample size.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-def conjecture(
-    omega_text: str,
-    budget: int,
-    census_path: Optional[str],
-    as_json: bool,
-    t: int,
-    reading: str,
-    sample: Optional[int],
-    seed: int,
-) -> None:
+def conjecture(omega_text: str, budget: int, census_path: Optional[str], as_json: bool, t: int,
+               reading: str, sample: Optional[int], seed: int) -> None:
     """Compare the conjectured congruences with oracle class vanishing."""
     driver = functools.partial(
         verify_conjecture, t=t, reading=reading, sample=sample, budget=budget, seed=seed

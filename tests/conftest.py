@@ -1,7 +1,10 @@
+import contextlib
 import functools
 import importlib.util
+import io
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +17,7 @@ from spincover import (
     space_size,
 )
 from spincover.census import bit_layout
+from spincover.cli import main
 from spincover.model import identity_rows
 
 DATA = Path(__file__).parent / "data"
@@ -49,6 +53,21 @@ def torus() -> ReducedMatrix:
 @pytest.fixture(scope="session")
 def klein() -> ReducedMatrix:
     return load("klein.txt")
+
+
+def run_cli(argv: list[str]) -> SimpleNamespace:
+    """Run `main(argv)` in this process as the command line does, with
+    stdout and stderr captured: the exit code, each stream, and `output`,
+    stdout then stderr.  Any exception other than SystemExit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+                           output=out.getvalue() + err.getvalue())
 
 
 def dv(*dims: int) -> DimensionVector:

@@ -8,8 +8,6 @@ message carries the analysis.
 
 import time
 
-from click.testing import CliRunner
-
 from spincover import (
     DimensionVector,
     SpinReport,
@@ -32,9 +30,8 @@ from spincover import (
     w4_vanishes_big,
     weighted_in_degree,
 )
-from spincover.cli import main as main_cli
 
-from conftest import dv, rp
+from conftest import dv, rp, run_cli
 
 
 class Stopwatch:
@@ -170,11 +167,9 @@ def test_10_congruence_conjecture_harness():
 
 
 def test_11_census_files_identical_across_thread_counts(tmp_path):
-    runner = CliRunner()
-
     def census(args, name):
         out = tmp_path / name
-        result = runner.invoke(main_cli, [*args, "--census", str(out)])
+        result = run_cli([*args, "--census", str(out)])
         assert result.exit_code == 0, result.output
         return out.read_bytes()
 
@@ -220,6 +215,6 @@ def test_12_a_real_bott_family_without_spin(tmp_path):
     assert sw.under(5.0)
     path = tmp_path / "bott5.txt"
     path.write_text(serialize_matrix(to_matrix(non_spin_bott_digraph(5))), encoding="utf-8")
-    result = CliRunner().invoke(main_cli, ["check", str(path)])
+    result = run_cli(["check", str(path)])
     assert result.exit_code == 1
     assert "orientable: yes\nspin: no\nfailed condition: iii at (1,2)\n" in result.output

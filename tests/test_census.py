@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given
-from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from spincover import (
@@ -40,9 +39,8 @@ from spincover.census import (
 )
 from spincover import census, cli, digraph, model, oracle
 from spincover import from_matrix, has_spin_digraph, normal_form, total_sw_truncated
-from spincover.cli import main
 from conftest import (
-    count_valid, counter_rows, dv, filter_valid, perfbench_common, serialize_bitwise,
+    count_valid, counter_rows, dv, filter_valid, perfbench_common, run_cli, serialize_bitwise,
 )
 
 
@@ -174,7 +172,7 @@ def test_walk_matches_the_filter(monkeypatch, dims, threads):
     monkeypatch.setattr(census, "_checked", recording_checked)
     omega = DimensionVector(dims)
     args = ["enumerate", "--omega", ",".join(map(str, dims)), "--threads", str(threads)]
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0, result.output
     assert result.stdout == f"space: {space_size(omega)}, valid: {len(walked)}\n"
     assert walked == [A.rows for A in filter_valid(omega)]
@@ -828,7 +826,7 @@ CENSUS_DIGESTS = {
 def test_census_record_digests(command, tmp_path):
     code, digest = CENSUS_DIGESTS[command]
     out = tmp_path / "census.jsonl"
-    result = CliRunner().invoke(main, [*command.split(), "--census", str(out)])
+    result = run_cli([*command.split(), "--census", str(out)])
     assert result.exit_code == code
     records = out.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
     assert hashlib.sha256("".join(records).encode()).hexdigest() == digest

@@ -10,29 +10,27 @@ import time
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincover import GradedPolynomial, census, cli, normal_form
+from spincover import GradedPolynomial, census, cli, normal_form, to_matrix
 from spincover.cli import main
 
-from conftest import DATA, perfbench_common
+from conftest import DATA, perfbench_common, run_cli
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def path(name: str) -> str:
     return str(DATA / name)
 
 
-def test_check_spin_instance(runner):
-    result = runner.invoke(main, ["check", path("spin_235.txt")])
+def test_check_spin_instance():
+    result = run_cli(["check", path("spin_235.txt")])
     assert result.exit_code == 0
     assert result.output == (
         "valid: yes\n"
@@ -48,16 +46,16 @@ def test_check_spin_instance(runner):
     )
 
 
-def test_check_nonorientable_instance(runner):
-    result = runner.invoke(main, ["check", path("klein.txt")])
+def test_check_nonorientable_instance():
+    result = run_cli(["check", path("klein.txt")])
     assert result.exit_code == 1
     assert "orientable: no" in result.output
     assert "spin: no" in result.output
     assert "failed condition: i at (2)" in result.output
 
 
-def test_check_json_output(runner):
-    result = runner.invoke(main, ["check", "--json", path("klein.txt")])
+def test_check_json_output():
+    result = run_cli(["check", "--json", path("klein.txt")])
     assert result.exit_code == 1
     obj = json.loads(result.output)
     assert obj["valid"] is True
@@ -67,19 +65,19 @@ def test_check_json_output(runner):
     assert obj["k"]["1,2"] == 1
 
 
-def test_check_rejects_malformed_file(runner, tmp_path):
+def test_check_rejects_malformed_file(tmp_path):
     bad = tmp_path / "short.txt"
     bad.write_text("1 1\n10\n")
-    result = runner.invoke(main, ["check", str(bad)])
+    result = run_cli(["check", str(bad)])
     assert result.exit_code == 2
     assert "line" in result.stderr
     assert "expected 2 rows, got 1" in result.stderr
 
 
-def test_check_rejects_invalid_matrix(runner, tmp_path):
+def test_check_rejects_invalid_matrix(tmp_path):
     bad = tmp_path / "singular.txt"
     bad.write_text("1 1\n11\n11\n")
-    result = runner.invoke(main, ["check", str(bad)])
+    result = run_cli(["check", str(bad)])
     assert result.exit_code == 2
     assert "row selection (1, 1)" in result.stderr
     assert "column subset (1, 2)" in result.stderr
@@ -139,13 +137,13 @@ def _late_cycle_rows():
         "acyclic-first-subset",
     ],
 )
-def test_check_names_a_late_witness_quickly(runner, tmp_path, dims, rows, selection, subset):
+def test_check_names_a_late_witness_quickly(tmp_path, dims, rows, selection, subset):
     src = tmp_path / "late.txt"
     src.write_text(
         " ".join(map(str, dims)) + "\n" + "".join("".join(map(str, r)) + "\n" for r in rows)
     )
     start = time.perf_counter()
-    result = runner.invoke(main, ["check", str(src)])
+    result = run_cli(["check", str(src)])
     assert time.perf_counter() - start < 2
     assert result.exit_code == 2
     assert result.stderr == (
@@ -154,8 +152,8 @@ def test_check_names_a_late_witness_quickly(runner, tmp_path, dims, rows, select
     )
 
 
-def test_sw_both_projective_plane(runner):
-    result = runner.invoke(main, ["sw", "--degree", "2", "--both", path("rp2.txt")])
+def test_sw_both_projective_plane():
+    result = run_cli(["sw", "--degree", "2", "--both", path("rp2.txt")])
     assert result.exit_code == 0
     assert result.output == (
         "closed w2: x1^2\n"
@@ -164,22 +162,22 @@ def test_sw_both_projective_plane(runner):
     )
 
 
-def test_sw_post_reduction_agreement(runner):
-    result = runner.invoke(main, ["sw", "-m", "2", "--both", path("torus.txt")])
+def test_sw_post_reduction_agreement():
+    result = run_cli(["sw", "-m", "2", "--both", path("torus.txt")])
     assert result.exit_code == 0
     assert "closed w2: x1^2 + x2^2" in result.output
     assert "oracle w2: 0" in result.output
     assert "agreement (post-reduction): yes" in result.output
 
 
-def test_sw_oracle_only(runner):
-    result = runner.invoke(main, ["sw", "-m", "2", "--oracle", path("spin_235.txt")])
+def test_sw_oracle_only():
+    result = run_cli(["sw", "-m", "2", "--oracle", path("spin_235.txt")])
     assert result.exit_code == 0
     assert result.output == "oracle w2: 0\n"
 
 
-def test_sw_json(runner):
-    result = runner.invoke(main, ["sw", "-m", "1", "--both", "--json", path("klein.txt")])
+def test_sw_json():
+    result = run_cli(["sw", "-m", "1", "--both", "--json", path("klein.txt")])
     assert result.exit_code == 0
     obj = json.loads(result.output)
     assert obj["degree"] == 1
@@ -196,41 +194,41 @@ def test_sw_json(runner):
         (["-m", "2", "--oracle", "--closed"], "at most one"),
     ],
 )
-def test_sw_input_guards(runner, args, fragment):
-    result = runner.invoke(main, ["sw", *args, path("torus.txt")])
+def test_sw_input_guards(args, fragment):
+    result = run_cli(["sw", *args, path("torus.txt")])
     assert result.exit_code == 2
     assert fragment in result.stderr
 
 
-def test_convert_matrix_to_digraph(runner):
-    result = runner.invoke(main, ["convert", "--to", "digraph", path("tower_2333.txt")])
+def test_convert_matrix_to_digraph():
+    result = run_cli(["convert", "--to", "digraph", path("tower_2333.txt")])
     assert result.exit_code == 0
     assert result.output == (DATA / "tower_2333.json").read_text()
 
 
-def test_convert_digraph_to_matrix(runner, tmp_path):
+def test_convert_digraph_to_matrix(tmp_path):
     doc = {"omega": [1, 1], "edges": []}
     src = tmp_path / "edgeless.json"
     src.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    result = run_cli(["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 0
     assert result.output == "1 1\n10\n01\n"
 
 
-def test_convert_roundtrip(runner, tmp_path):
+def test_convert_roundtrip(tmp_path):
     mid = tmp_path / "g.json"
-    result = runner.invoke(
-        main, ["convert", "--to", "digraph", "-o", str(mid), path("spin_235.txt")]
+    result = run_cli(
+        ["convert", "--to", "digraph", "-o", str(mid), path("spin_235.txt")]
     )
     assert result.exit_code == 0
     assert result.output == ""
-    back = runner.invoke(main, ["convert", "--to", "matrix", str(mid)])
+    back = run_cli(["convert", "--to", "matrix", str(mid)])
     assert back.exit_code == 0
     # comments are not part of the model, so compare against the parsed form
     assert back.output == "2 3 5\n100\n100\n011\n111\n110\n101\n101\n101\n001\n001\n"
 
 
-def test_convert_rejects_cycle(runner, tmp_path):
+def test_convert_rejects_cycle(tmp_path):
     doc = {
         "omega": [1, 1],
         "edges": [
@@ -240,7 +238,7 @@ def test_convert_rejects_cycle(runner, tmp_path):
     }
     src = tmp_path / "cycle.json"
     src.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    result = run_cli(["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 2
     assert "directed cycle through vertices [1, 2]" in result.stderr
 
@@ -256,7 +254,7 @@ def test_convert_rejects_cycle(runner, tmp_path):
         ([(i, i % 800 + 1) for i in range(1, 801)], list(range(1, 801))),
     ],
 )
-def test_convert_names_only_vertices_on_a_cycle(runner, tmp_path, arcs, on_cycle):
+def test_convert_names_only_vertices_on_a_cycle(tmp_path, arcs, on_cycle):
     k = max(max(arc) for arc in arcs)
     doc = {
         "omega": [1] * k,
@@ -265,7 +263,7 @@ def test_convert_names_only_vertices_on_a_cycle(runner, tmp_path, arcs, on_cycle
     src = tmp_path / "cycle.json"
     src.write_text(json.dumps(doc))
     start = time.perf_counter()
-    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    result = run_cli(["convert", "--to", "matrix", str(src)])
     assert time.perf_counter() - start < 2
     assert result.exit_code == 2
     assert f"directed cycle through vertices {on_cycle}\n" in result.stderr
@@ -274,10 +272,10 @@ def test_convert_names_only_vertices_on_a_cycle(runner, tmp_path, arcs, on_cycle
 @pytest.mark.parametrize(
     "edges", [None, 5, {"from": 1, "to": 2, "w": "1"}], ids=["null", "number", "object"]
 )
-def test_convert_rejects_edges_that_are_not_a_list(runner, tmp_path, edges):
+def test_convert_rejects_edges_that_are_not_a_list(tmp_path, edges):
     src = tmp_path / "g.json"
     src.write_text(json.dumps({"omega": [1, 1], "edges": edges}))
-    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    result = run_cli(["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 2
     assert "'edges' must be a list\n" in result.stderr
 
@@ -297,10 +295,10 @@ def test_convert_rejects_edges_that_are_not_a_list(runner, tmp_path, edges):
     ],
     ids=["omega", "from", "to"],
 )
-def test_convert_rejects_booleans_as_integers(runner, tmp_path, doc, fragment):
+def test_convert_rejects_booleans_as_integers(tmp_path, doc, fragment):
     src = tmp_path / "g.json"
     src.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["convert", "--to", "matrix", str(src)])
+    result = run_cli(["convert", "--to", "matrix", str(src)])
     assert result.exit_code == 2
     assert fragment in result.stderr
 
@@ -309,10 +307,10 @@ def test_convert_rejects_booleans_as_integers(runner, tmp_path, doc, fragment):
     "args",
     [["check"], ["sw", "-m", "1"], ["convert", "--to", "digraph"], ["convert", "--to", "matrix"]],
 )
-def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, args):
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, args):
     src = tmp_path / "bad.txt"
     src.write_bytes(b"1 1\n10\n\xff1\n")
-    result = runner.invoke(main, [*args, str(src)])
+    result = run_cli([*args, str(src)])
     assert result.exit_code == 2
     assert result.stderr == (
         f"{src}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
@@ -326,9 +324,9 @@ def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, args):
         ["convert", path("spin_235.txt"), "--to", "digraph", "-o"],
     ],
 )
-def test_unwritable_output_is_an_input_error(runner, tmp_path, args):
+def test_unwritable_output_is_an_input_error(tmp_path, args):
     target = tmp_path / "missing" / "out"
-    result = runner.invoke(main, [*args, str(target)])
+    result = run_cli([*args, str(target)])
     assert result.exit_code == 2
     assert f"cannot write {target}: " in result.stderr
     assert not target.exists()
@@ -365,16 +363,56 @@ def test_in_process_runs_keep_no_redirected_stream(tmp_path):
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_enumerate_counts(runner):
-    result = runner.invoke(main, ["enumerate", "--omega", "1,1"])
+def test_a_closed_stdout_exits_1_without_a_word():
+    # The reading end of the pipe is closed before the run starts, so the
+    # first write of the verdict meets EPIPE.  No PYTHON* variable is passed
+    # on, so stdout is block-buffered as it is for most users.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spincover.cli", "check", path("spin_235.txt")],
+            env=dict(env, PYTHONPATH=str(SRC)),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_an_interrupt_prints_aborted_and_exits_1(monkeypatch):
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    # main reads the callback per call, so a replaced one is the one that runs
+    monkeypatch.setattr(main.commands["check"], "callback", interrupted)
+    result = run_cli(["check", path("spin_235.txt")])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenPipeError])
+def test_an_embedding_caller_sees_an_interrupt_or_a_closed_pipe(monkeypatch, error):
+    def raising(**kwargs):
+        raise error
+
+    monkeypatch.setattr(main.commands["sw"], "callback", raising)
+    with pytest.raises(error):
+        main(["sw", "-m", "1", path("rp2.txt")], standalone_mode=False)
+
+
+def test_enumerate_counts():
+    result = run_cli(["enumerate", "--omega", "1,1"])
     assert result.exit_code == 0
     assert result.output == "space: 4, valid: 3\n"
 
 
-def test_enumerate_census_file(runner, tmp_path):
+def test_enumerate_census_file(tmp_path):
     out = tmp_path / "census.jsonl"
-    result = runner.invoke(
-        main, ["enumerate", "--omega", "1,1", "--census", str(out)]
+    result = run_cli(
+        ["enumerate", "--omega", "1,1", "--census", str(out)]
     )
     assert result.exit_code == 0
     lines = out.read_text().splitlines()
@@ -391,15 +429,15 @@ def test_enumerate_census_file(runner, tmp_path):
     assert all(rec["flags"] == [] for rec in records)
 
 
-def test_enumerate_reports_the_raw_candidate_space(runner):
-    result = runner.invoke(main, ["enumerate", "--omega", "4,4,4", "--json"])
+def test_enumerate_reports_the_raw_candidate_space():
+    result = run_cli(["enumerate", "--omega", "4,4,4", "--json"])
     assert result.exit_code == 0
     obj = json.loads(result.output)
     assert (obj["space"], obj["valid"]) == (16_777_216, 23_041)
 
 
-def test_enumerate_budget_refusal(runner):
-    result = runner.invoke(main, ["enumerate", "--omega", "1,2,2", "--budget", "100"])
+def test_enumerate_budget_refusal():
+    result = run_cli(["enumerate", "--omega", "1,2,2", "--budget", "100"])
     assert result.exit_code == 3
     assert "1024" in result.stderr
 
@@ -408,15 +446,12 @@ def test_enumerate_budget_refusal(runner):
 @pytest.mark.parametrize(
     "omega, bits", [("7200,7200", 14_400), ("100000000,2", 100_000_002)]
 )
-def test_huge_space_is_refused_by_its_exponent(runner, command, omega, bits):
+def test_huge_space_is_refused_by_its_exponent(command, omega, bits):
     start = time.perf_counter()
-    result = runner.invoke(main, [command, "--omega", omega])
+    result = run_cli([command, "--omega", omega])
     assert time.perf_counter() - start < 2
     assert result.exit_code == 3
     assert result.stderr == f"search space 2^{bits} exceeds budget 16777216\n"
-
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _cap_address_space():
@@ -425,24 +460,30 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+CENSUS = ["--census", "census.jsonl"]
+
+
 @pytest.mark.parametrize(
     "args, size",
     [
-        (["enumerate", "--omega", "100000000000"], "100000000000x1 = 100000000000"),
-        (["verify", "--omega", "1000000000,3", "--check", "w3", "--sample", "1"],
+        (["enumerate", "--omega", "100000000000", *CENSUS], "100000000000x1 = 100000000000"),
+        (["verify", "--omega", "1000000000,3", "--check", "w3", "--sample", "1", *CENSUS],
          "1000000003x2 = 2000000006"),
-        (["verify", "--omega", "30000000", "--check", "spin"], "30000000x1 = 30000000"),
-        (["verify", "--omega", "10000000,3", "--check", "w3", "--sample", "1"],
+        (["verify", "--omega", "30000000", "--check", "spin", *CENSUS], "30000000x1 = 30000000"),
+        (["verify", "--omega", "10000000,3", "--check", "w3", "--sample", "1", *CENSUS],
          "10000003x2 = 20000006"),
+        # a digraph document of 21 bytes naming one 10^8-simplex
+        (["convert", "omega.json", "--to", "matrix"], "100000000x1 = 100000000"),
     ],
 )
 def test_a_matrix_of_more_entries_than_the_budget_is_refused(tmp_path, args, size):
     # One factor has a search space of 1, and a sample is never sized by its
     # space, so these are refused by n*k alone, before any matrix is built.
-    census = tmp_path / "census.jsonl"
+    (tmp_path / "omega.json").write_text('{"omega":[100000000]}')
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "spincover.cli", *args, "--census", str(census)],
+        [sys.executable, "-m", "spincover.cli", *args],
+        cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
@@ -452,12 +493,13 @@ def test_a_matrix_of_more_entries_than_the_budget_is_refused(tmp_path, args, siz
     assert time.perf_counter() - start < 10
     assert proc.returncode == 3
     assert proc.stderr == f"matrix of {size} entries exceeds budget 16777216\n"
-    assert proc.stdout == "" and not census.exists()
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["omega.json"]
 
 
 def _meets_the_exit_contract(result) -> None:
+    # run_cli lets any exception other than SystemExit out, failing the test
     assert result.exit_code in range(5), result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
     assert "Traceback" not in result.stdout + result.stderr
 
 
@@ -482,7 +524,59 @@ def fuzz_file(tmp_path_factory):
 )
 def test_any_file_meets_the_exit_contract(fuzz_file, data, args):
     fuzz_file.write_bytes(data)
-    _meets_the_exit_contract(CliRunner().invoke(main, [*args, str(fuzz_file)]))
+    _meets_the_exit_contract(run_cli([*args, str(fuzz_file)]))
+
+
+WRONG = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=2), st.just({}))
+# Far over the default budget of 2^24 matrix entries even as the only factor.
+OVER_BUDGET = [2**24 + 1, 10**8, 10**12]
+
+
+@st.composite
+def digraph_documents(draw):
+    """A digraph document whose factors are small or over the budget (no
+    size in between: a matrix under the budget is built in this process),
+    with random arcs out of the small factors carrying weight strings of the
+    right length; then one part may be damaged: a field of the wrong type or
+    range, an extra field, or a top level that is not an object."""
+    dims = draw(st.lists(st.one_of(st.integers(1, 3), st.sampled_from(OVER_BUDGET)),
+                         min_size=1, max_size=4))
+    small = [i for i, d in enumerate(dims) if d <= 3]
+    arcs = draw(st.lists(st.tuples(st.sampled_from(small), st.integers(0, len(dims) - 1)),
+                         max_size=4)) if small else []
+    edges = [
+        {"from": i + 1, "to": j + 1, "w": draw(st.text("01", min_size=dims[i], max_size=dims[i]))}
+        for i, j in arcs
+    ]
+    doc = {"omega": dims, "edges": edges}
+    damage = draw(st.sampled_from(["none", "omega", "edges", "edge", "extra", "top"]))
+    if damage == "omega":
+        doc["omega"] = draw(st.one_of(WRONG, st.lists(st.one_of(st.integers(-1, 0), WRONG))))
+    elif damage == "edges":
+        doc["edges"] = draw(WRONG)
+    elif damage == "edge" and edges:
+        field = draw(st.sampled_from(["from", "to", "w"]))
+        edges[0][field] = draw(st.one_of(WRONG, st.integers(-1, 6), st.text("012 ", max_size=4)))
+    elif damage == "extra":
+        draw(st.sampled_from([doc, *edges]))["x"] = draw(st.integers())
+    elif damage == "top":
+        doc = draw(st.one_of(WRONG, st.lists(st.integers(), max_size=2)))
+    return doc
+
+
+def _to_matrix_within_the_budget(G):
+    assert G.omega.n * G.omega.k <= census.DEFAULT_BUDGET, G.omega.dims
+    return to_matrix(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=digraph_documents())
+def test_any_digraph_document_meets_the_exit_contract(fuzz_file, doc):
+    fuzz_file.write_text(json.dumps(doc), encoding="utf-8")
+    # Building a matrix over the budget would fill this process's memory, so
+    # a convert that tried would fail here first.
+    with mock.patch.object(cli, "to_matrix", _to_matrix_within_the_budget):
+        _meets_the_exit_contract(run_cli(["convert", "--to", "matrix", str(fuzz_file)]))
 
 
 FAMILY_COMMANDS = [
@@ -499,53 +593,53 @@ FAMILY_COMMANDS = [
     args=st.sampled_from(FAMILY_COMMANDS),
 )
 def test_any_omega_meets_the_exit_contract(omega, args):
-    result = CliRunner().invoke(main, [*args, "--omega", omega, "--budget", "4096"])
+    result = run_cli([*args, "--omega", omega, "--budget", "4096"])
     _meets_the_exit_contract(result)
 
 
 @pytest.mark.parametrize("omega", ["0,2", "x", "2,"])
-def test_bad_omega_is_an_input_error(runner, omega):
-    result = runner.invoke(main, ["enumerate", "--omega", omega])
+def test_bad_omega_is_an_input_error(omega):
+    result = run_cli(["enumerate", "--omega", omega])
     assert result.exit_code == 2
     assert "bad omega" in result.stderr
 
 
 @pytest.mark.parametrize("omega", ["١,+1", "1_0", "+1,1", "1,２"])
-def test_omega_needs_plain_decimal_digits(runner, omega):
+def test_omega_needs_plain_decimal_digits(omega):
     # int() reads each of these; a factor dimension is ASCII digits only.
-    result = runner.invoke(main, ["enumerate", "--omega", omega])
+    result = run_cli(["enumerate", "--omega", omega])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"bad omega {omega!r}: ")
 
 
-def test_omega_tokens_may_be_spaced(runner):
-    result = runner.invoke(main, ["enumerate", "--omega", " 1, 2 "])
+def test_omega_tokens_may_be_spaced():
+    result = run_cli(["enumerate", "--omega", " 1, 2 "])
     assert (result.exit_code, result.output) == (0, "space: 8, valid: 5\n")
 
 
 @pytest.mark.parametrize("line", ["١ 1", "1_0 1", "+1 1"])
-def test_check_refuses_a_dimension_line_int_would_read(runner, tmp_path, line):
+def test_check_refuses_a_dimension_line_int_would_read(tmp_path, line):
     src = tmp_path / "dims.txt"
     src.write_text(f"{line}\n10\n01\n", encoding="utf-8")
-    result = runner.invoke(main, ["check", str(src)])
+    result = run_cli(["check", str(src)])
     assert result.exit_code == 2
     assert result.stderr == f"{src}: line 1: bad dimension line {line!r}\n"
 
 
-def test_verify_spin_clean(runner):
-    result = runner.invoke(main, ["verify", "--omega", "1,1", "--check", "spin"])
+def test_verify_spin_clean():
+    result = run_cli(["verify", "--omega", "1,1", "--check", "spin"])
     assert result.exit_code == 0
     assert result.output == "valid: 3, orientable: 1, spin: 1, discrepancies: 0\n"
 
 
-def test_verify_w3_clean(runner):
-    result = runner.invoke(main, ["verify", "--omega", "3,3", "--check", "w3"])
+def test_verify_w3_clean():
+    result = run_cli(["verify", "--omega", "3,3", "--check", "w3"])
     assert result.exit_code == 0
     assert result.output == "valid: 15, vanish: 7, discrepancies: 0\n"
 
 
-def test_verify_elementary_reports_mismatches(runner):
-    result = runner.invoke(main, ["verify", "--omega", "1,1,2", "--check", "elementary"])
+def test_verify_elementary_reports_mismatches():
+    result = run_cli(["verify", "--omega", "1,1,2", "--check", "elementary"])
     assert result.exit_code == 4
     lines = result.output.splitlines()
     assert lines[0] == "valid: 69, component-invalid: 0, spin: 8, discrepancies: 8"
@@ -553,9 +647,9 @@ def test_verify_elementary_reports_mismatches(runner):
     assert lines[1] == "  elementary-decomposition-mismatch: 100/011/001/001"
 
 
-def test_verify_json(runner):
-    result = runner.invoke(
-        main, ["verify", "--omega", "1,1", "--check", "spin", "--json"]
+def test_verify_json():
+    result = run_cli(
+        ["verify", "--omega", "1,1", "--check", "spin", "--json"]
     )
     assert result.exit_code == 0
     obj = json.loads(result.output)
@@ -565,16 +659,16 @@ def test_verify_json(runner):
     assert obj["check"] == "spin"
 
 
-def test_verify_sample_only_for_w_checks(runner):
-    result = runner.invoke(
-        main, ["verify", "--omega", "1,1", "--check", "spin", "--sample", "5"]
+def test_verify_sample_only_for_w_checks():
+    result = run_cli(
+        ["verify", "--omega", "1,1", "--check", "spin", "--sample", "5"]
     )
     assert result.exit_code == 2
     assert "--sample" in result.stderr
 
 
-def test_verify_degree_precondition(runner):
-    result = runner.invoke(main, ["verify", "--omega", "2,3", "--check", "w3"])
+def test_verify_degree_precondition():
+    result = run_cli(["verify", "--omega", "2,3", "--check", "w3"])
     assert result.exit_code == 2
 
 
@@ -586,8 +680,8 @@ def test_verify_degree_precondition(runner):
         ["conjecture", "--omega", "4,4", "--t", "2", "--sample", "0"],
     ],
 )
-def test_sample_below_one_is_an_input_error(runner, args):
-    result = runner.invoke(main, args)
+def test_sample_below_one_is_an_input_error(args):
+    result = run_cli(args)
     assert result.exit_code == 2
     assert "--sample" in result.stderr
 
@@ -601,17 +695,17 @@ def test_sample_below_one_is_an_input_error(runner, args):
         (["conjecture", "--omega", "2,3", "--t", "3"], 2),
     ],
 )
-def test_failed_run_leaves_no_census(runner, tmp_path, args, code):
+def test_failed_run_leaves_no_census(tmp_path, args, code):
     out = tmp_path / "census.jsonl"
-    result = runner.invoke(main, [*args, "--census", str(out)])
+    result = run_cli([*args, "--census", str(out)])
     assert result.exit_code == code
     assert not out.exists()
 
 
-def test_conjecture_on_small_factors_exits_2_and_leaves_no_census(runner, tmp_path):
+def test_conjecture_on_small_factors_exits_2_and_leaves_no_census(tmp_path):
     out = tmp_path / "census.jsonl"
-    result = runner.invoke(
-        main, ["conjecture", "--omega", "1,2", "--t", "1", "--census", str(out)]
+    result = run_cli(
+        ["conjecture", "--omega", "1,2", "--t", "1", "--census", str(out)]
     )
     assert result.exit_code == 2
     assert result.stderr == "every factor dimension must be at least 2\n"
@@ -626,17 +720,16 @@ def test_conjecture_on_small_factors_exits_2_and_leaves_no_census(runner, tmp_pa
         ["conjecture", "--omega", "4,4", "--t", "2", "--threads", "0"],
     ],
 )
-def test_threads_below_one_is_an_input_error(runner, args):
-    result = runner.invoke(main, args)
+def test_threads_below_one_is_an_input_error(args):
+    result = run_cli(args)
     assert result.exit_code == 2
     assert "--threads" in result.stderr
 
 
-def test_unfillable_sample_is_a_refusal(runner, tmp_path):
+def test_unfillable_sample_is_a_refusal(tmp_path):
     # almost no candidate over five 3-simplices is valid: the draw cap runs out
     out = tmp_path / "census.jsonl"
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["verify", "--omega", "3,3,3,3,3", "--check", "w3", "--sample", "1",
          "--census", str(out)],
     )
@@ -645,20 +738,19 @@ def test_unfillable_sample_is_a_refusal(runner, tmp_path):
     assert not out.exists()
 
 
-def test_sample_draws_stop_at_the_budget(runner):
+def test_sample_draws_stop_at_the_budget():
     # --budget caps the draws below the 10,000 per requested matrix
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["verify", "--omega", "3,3,3,3,3", "--check", "w3", "--sample", "10", "--budget", "5000"],
     )
     assert result.exit_code == 3
     assert result.stderr == "only 0 of 10 requested valid samples found in 5000 draws\n"
 
 
-def test_w3_digraph_disagreement_is_flagged(runner, monkeypatch):
+def test_w3_digraph_disagreement_is_flagged(monkeypatch):
     real = census.w3_vanishes_digraph
     monkeypatch.setattr(census, "w3_vanishes_digraph", lambda G: not real(G))
-    result = runner.invoke(main, ["verify", "--omega", "3,3", "--check", "w3"])
+    result = run_cli(["verify", "--omega", "3,3", "--check", "w3"])
     assert result.exit_code == 4
     lines = result.output.splitlines()
     assert lines[0] == "valid: 15, vanish: 7, discrepancies: 15"
@@ -676,10 +768,10 @@ def lying_reduction(p, A):
     return GradedPolynomial(real.k, pieces)
 
 
-def assert_every_matrix_flagged(runner, tmp_path, with_census, flag):
+def assert_every_matrix_flagged(tmp_path, with_census, flag):
     out = tmp_path / "census.jsonl"
     args = ["verify", "--omega", "1,2,2", "--check", "spin"]
-    result = runner.invoke(main, args + (["--census", str(out)] if with_census else []))
+    result = run_cli(args + (["--census", str(out)] if with_census else []))
     assert result.exit_code == 4
     lines = result.output.splitlines()
     assert lines[0] == "valid: 157, orientable: 7, spin: 0, discrepancies: 157"
@@ -693,36 +785,36 @@ def assert_every_matrix_flagged(runner, tmp_path, with_census, flag):
 
 
 @pytest.mark.parametrize("with_census", [False, True])
-def test_a_lying_oracle_spin_verdict_is_flagged(runner, monkeypatch, tmp_path, with_census):
+def test_a_lying_oracle_spin_verdict_is_flagged(monkeypatch, tmp_path, with_census):
     # Without a census the check asks the oracle itself; with one it reads
     # the verdict of the record, which comes from the reduced total class.
     real = census.oracle_has_spin
     monkeypatch.setattr(census, "oracle_has_spin", lambda A: not real(A))
     monkeypatch.setattr(census, "normal_form", lying_reduction)
-    assert_every_matrix_flagged(runner, tmp_path, with_census, "spin-closed-oracle-mismatch")
+    assert_every_matrix_flagged(tmp_path, with_census, "spin-closed-oracle-mismatch")
 
 
 @pytest.mark.parametrize("with_census", [False, True])
-def test_a_lying_digraph_spin_verdict_is_flagged(runner, monkeypatch, tmp_path, with_census):
+def test_a_lying_digraph_spin_verdict_is_flagged(monkeypatch, tmp_path, with_census):
     real = census.has_spin_digraph
     monkeypatch.setattr(
         census, "has_spin_digraph", lambda G: SimpleNamespace(spin=not real(G).spin)
     )
-    assert_every_matrix_flagged(runner, tmp_path, with_census, "spin-closed-digraph-mismatch")
+    assert_every_matrix_flagged(tmp_path, with_census, "spin-closed-digraph-mismatch")
 
 
-def test_a_lying_sufficient_condition_is_flagged(runner, monkeypatch, tmp_path):
+def test_a_lying_sufficient_condition_is_flagged(monkeypatch, tmp_path):
     # (1,2,2) has an interval factor and no Spin member, so a condition
     # that always holds is sufficient but not Spin on every matrix.
     monkeypatch.setattr(census, "spin_sufficient", lambda A: True)
-    assert_every_matrix_flagged(runner, tmp_path, False, "sufficient-but-not-spin")
+    assert_every_matrix_flagged(tmp_path, False, "sufficient-but-not-spin")
 
 
-def test_a_lying_necessity_without_intervals_is_flagged(runner, monkeypatch):
+def test_a_lying_necessity_without_intervals_is_flagged(monkeypatch):
     # Without interval factors the sufficient condition is exactly Spin, so
     # one that never holds misses the one Spin member of (3,3), RP^3 x RP^3.
     monkeypatch.setattr(census, "spin_sufficient", lambda A: False)
-    result = runner.invoke(main, ["verify", "--omega", "3,3", "--check", "spin"])
+    result = run_cli(["verify", "--omega", "3,3", "--check", "spin"])
     assert result.exit_code == 4
     assert result.output == (
         "valid: 15, orientable: 7, spin: 1, discrepancies: 1\n"
@@ -735,8 +827,8 @@ def flipped(p, m):
     return GradedPolynomial(p.k, {**p.pieces, m: p.pieces.get(m, 0) ^ 1})
 
 
-def assert_every_w4_matrix_flagged(runner, flag, vanish):
-    result = runner.invoke(main, ["verify", "--omega", "4,4", "--check", "w4"])
+def assert_every_w4_matrix_flagged(flag, vanish):
+    result = run_cli(["verify", "--omega", "4,4", "--check", "w4"])
     assert result.exit_code == 4
     lines = result.output.splitlines()
     assert lines[0] == f"valid: 31, vanish: {vanish}, discrepancies: 31"
@@ -745,30 +837,63 @@ def assert_every_w4_matrix_flagged(runner, flag, vanish):
     assert all(line.startswith(f"  {flag}: ") for line in lines[1:])
 
 
-def test_a_lying_w4_table_is_flagged(runner, monkeypatch):
+def test_a_lying_w4_table_is_flagged(monkeypatch):
     real = census.closed_coefficients
     monkeypatch.setattr(census, "closed_coefficients", lambda A, m: flipped(real(A, m), m))
-    assert_every_w4_matrix_flagged(runner, "w4-expansion-mismatch", 0)
+    assert_every_w4_matrix_flagged("w4-expansion-mismatch", 0)
 
 
-def test_a_lying_w4_vanishing_verdict_is_flagged(runner, monkeypatch):
+def test_a_lying_w4_vanishing_verdict_is_flagged(monkeypatch):
     real = census.w4_vanishes_big
     monkeypatch.setattr(census, "w4_vanishes_big", lambda A: not real(A))
-    assert_every_w4_matrix_flagged(runner, "w4-vanish-mismatch", 31)
+    assert_every_w4_matrix_flagged("w4-vanish-mismatch", 31)
 
 
-def test_sw_without_a_mode_flag_compares_both(runner):
-    both = runner.invoke(main, ["sw", "-m", "2", "--both", path("torus.txt")])
-    plain = runner.invoke(main, ["sw", "-m", "2", path("torus.txt")])
+def test_sw_without_a_mode_flag_compares_both():
+    both = run_cli(["sw", "-m", "2", "--both", path("torus.txt")])
+    plain = run_cli(["sw", "-m", "2", path("torus.txt")])
     assert plain.exit_code == both.exit_code == 0
     assert plain.output == both.output
     assert plain.output.endswith("agreement (post-reduction): yes\n")
 
 
-def test_sw_both_exits_4_on_a_lying_oracle(runner, monkeypatch):
+@pytest.mark.parametrize("degree", [["-m2"], ["--degree=2"], ["--degree", "2"]])
+def test_every_spelling_of_the_degree_is_read(degree):
+    spelled = run_cli(["sw", *degree, path("torus.txt")])
+    plain = run_cli(["sw", "-m", "2", path("torus.txt")])
+    assert (spelled.exit_code, spelled.output) == (0, plain.output)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["--json"],
+        ["frobnicate", path("rp2.txt")],
+        ["sw", "--deg", "2", path("rp2.txt")],  # a long option is never abbreviated
+        ["check", "-h"],
+        ["check", str(DATA)],
+        ["check", "missing.txt"],
+        ["convert", path("rp2.txt")],
+    ],
+)
+def test_a_usage_error_exits_2_with_the_usage_line(args):
+    result = run_cli(args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: spincover")
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in main.commands)])
+def test_help_exits_0_on_stdout(command):
+    result = run_cli([*command, "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith(f"usage: {' '.join(['spincover', *command])} [--help]")
+
+
+def test_sw_both_exits_4_on_a_lying_oracle(monkeypatch):
     real = cli.sw_oracle
     monkeypatch.setattr(cli, "sw_oracle", lambda A, m: flipped(real(A, m), m))
-    result = runner.invoke(main, ["sw", "-m", "2", "--both", path("rp2.txt")])
+    result = run_cli(["sw", "-m", "2", "--both", path("rp2.txt")])
     assert result.exit_code == 4
     assert result.output == (
         "closed w2: x1^2\n"
@@ -777,17 +902,16 @@ def test_sw_both_exits_4_on_a_lying_oracle(runner, monkeypatch):
     )
 
 
-def test_conjecture_shifted_clean(runner):
-    result = runner.invoke(main, ["conjecture", "--omega", "2,2", "--t", "1"])
+def test_conjecture_shifted_clean():
+    result = run_cli(["conjecture", "--omega", "2,2", "--t", "1"])
     assert result.exit_code == 0
     assert result.output == (
         "valid: 7, oracle-vanish: 0, predicate: 0, discrepancies: 0\n"
     )
 
 
-def test_conjecture_written_reading_flags_divergence(runner):
-    result = runner.invoke(
-        main,
+def test_conjecture_written_reading_flags_divergence():
+    result = run_cli(
         ["conjecture", "--omega", "2,3", "--t", "1", "--reading", "as-written"],
     )
     assert result.exit_code == 4
@@ -799,8 +923,8 @@ def test_conjecture_written_reading_flags_divergence(runner):
     )
 
 
-def test_conjecture_level_guard(runner):
-    result = runner.invoke(main, ["conjecture", "--omega", "2,2", "--t", "3"])
+def test_conjecture_level_guard():
+    result = run_cli(["conjecture", "--omega", "2,2", "--t", "3"])
     assert result.exit_code == 2
 
 

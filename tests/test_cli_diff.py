@@ -25,7 +25,11 @@ def test_every_corpus_line_parses_and_names_inputs_that_exist(cli_diff, tmp_path
         commands.add(argv[0])
         for name in cli_diff.input_paths(argv):
             assert (tmp_path / name).is_file(), line
-    assert commands == {"check", "sw", "convert", "enumerate", "verify", "conjecture"}
+    # the six commands, then no command, an unknown one, and the top-level help
+    assert commands == {
+        "check", "sw", "convert", "enumerate", "verify", "conjecture",
+        "--json", "frobnicate", "--help",
+    }
     # every seeded and copied input is read by some line
     named = {name for line in lines for name in cli_diff.input_paths(shlex.split(line))}
     written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}

@@ -5,9 +5,10 @@ stays owned by the model: a ReducedMatrix is valid by construction, so no
 other module checks it or reads the masks its constructor keeps, and no
 other module reads the model's private spellings of offsets, row names or
 cached counts.  Every run stays in one process: no module imports a
-process or thread pool."""
+process or thread pool.  Nothing outside the standard library is imported."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,3 +166,10 @@ def test_top_level_imports_reads_every_form():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_no_module_imports_a_process_or_thread_pool(path):
     assert not top_level_imports(path.read_text(encoding="utf-8")) & CONCURRENCY
+
+
+def test_every_import_is_the_package_or_the_standard_library():
+    # spincover runs on a bare interpreter: no third-party module, at any depth
+    for path in sorted(SRC.glob("*.py")):
+        found = top_level_imports(path.read_text(encoding="utf-8"))
+        assert found <= sys.stdlib_module_names | {"spincover"}, (path.stem, found)

@@ -58,6 +58,7 @@ MALFORMED = {
     "unknown_field.json": b"{\"omega\": [1], \"edges\": [], \"x\": 1}",
     "bad_weight.json": b"{\"omega\": [1, 1], \"edges\": [{\"from\": 1, \"to\": 2, \"w\": \"2\"}]}",
     "bool_dim.json": b"{\"omega\": [true, 1], \"edges\": []}",
+    "oversized.json": b"{\"omega\":[100000000]}",
 }
 
 
