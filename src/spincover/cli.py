@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -72,12 +73,6 @@ def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
     _echo(text + "\n", sys.stdout)
 
 
-def _input_file(path: str) -> str:
-    if os.path.isdir(path) or not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"{path!r} is not an existing file")
-    return path
-
-
 def positive(text: str) -> int:
     """An int of at least 1; argparse words a ValueError as `invalid positive value`."""
     value = int(text)
@@ -93,10 +88,40 @@ def _parser(make: Callable[..., argparse.ArgumentParser], **kwargs) -> argparse.
     return parser
 
 
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _is_unknown_option(token: str, known: frozenset[str]) -> bool:
+    """Whether argparse reads token as an option, `--name[=value]` or `-x[value]`,
+    that is not one of `known`."""
+    if token[:1] != "-" or token == "-" or " " in token or _NEGATIVE_NUMBER.match(token):
+        return False
+    return (token.split("=", 1)[0] if token.startswith("--") else token[:2]) not in known
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser.  argparse reports an unknown option only once the
+    whole line has parsed, after a missing argument; here any usage error of
+    the command names the unknown options (those before `--`) first."""
+
+    known: frozenset[str] = frozenset()
+    line: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.line = tuple(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str) -> NoReturn:
+        line = self.line[:self.line.index("--")] if "--" in self.line else self.line
+        unknown = [token for token in line if _is_unknown_option(token, self.known)]
+        super().error(f"unrecognized arguments: {' '.join(unknown)}" if unknown else message)
+
+
 _PARSER = _parser(argparse.ArgumentParser, prog="spincover", description=(
     "Spin structures and Stiefel-Whitney classes of small covers over products "
     "of simplices, from the reduced characteristic matrix."))
-_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True, metavar="COMMAND")
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True, metavar="COMMAND",
+                                     parser_class=_CommandParser)
 
 
 def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None:
@@ -107,7 +132,9 @@ def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None
     try:
         args = vars(_PARSER.parse_args(argv))
         args.pop("threads", None)  # accepted and ignored
-        return main.commands[args.pop("command")].callback(**args)
+        name = args.pop("command")
+        _check_input_file(name, args)
+        return main.commands[name].callback(**args)
     except (KeyboardInterrupt, BrokenPipeError) as exc:
         if not standalone_mode:
             raise
@@ -119,6 +146,16 @@ def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None
 
 
 main.commands = {}
+_INPUT_FILES = ("matrix_file", "input_file")
+
+
+def _check_input_file(name: str, args: dict) -> None:
+    """A missing input file, or a directory, is a usage error.  It is checked
+    once argparse has parsed the whole line, so an unknown option is named first."""
+    for dest in _INPUT_FILES:
+        path = args.get(dest)
+        if path is not None and (os.path.isdir(path) or not os.path.exists(path)):
+            _SUBPARSERS.choices[name].error(f"argument {dest}: {path!r} is not an existing file")
 
 
 def _opt(*flags: str, **settings) -> tuple[tuple[str, ...], dict]:
@@ -134,6 +171,7 @@ def command(*options: tuple[tuple[str, ...], dict], name: Optional[str] = None):
         sub = _parser(make, description=fn.__doc__)
         for flags, settings in options:
             sub.add_argument(*flags, **settings)
+        sub.known = frozenset(["--help", *(f for flags, _ in options for f in flags if f[0] == "-")])
         main.commands[cmd] = SimpleNamespace(name=cmd, callback=fn)
         return fn
 
@@ -141,7 +179,7 @@ def command(*options: tuple[tuple[str, ...], dict], name: Optional[str] = None):
 
 
 _JSON = _opt("--json", dest="as_json", action="store_true", help="Emit one JSON object.")
-_MATRIX_FILE = _opt("matrix_file", type=_input_file)
+_MATRIX_FILE = _opt("matrix_file")
 
 
 @command(_MATRIX_FILE, _JSON)
@@ -216,7 +254,7 @@ def sw(matrix_file: str, degree: int, use_oracle: bool, use_closed: bool, use_bo
 
 
 @command(
-    _opt("input_file", type=_input_file),
+    _opt("input_file"),
     _opt("--to", dest="target", choices=["matrix", "digraph"], required=True),
     _opt("--output", "-o"),
 )

@@ -116,6 +116,12 @@ def spin_sufficient(A: ReducedMatrix) -> bool:
     )
 
 
+def _parities(single: list[int]) -> tuple[list[int], ...]:
+    """Per index i: k_i + 1, and C(k_i + 1, r) mod 2 for r = 2, 3, 4."""
+    plus = [s + 1 for s in single]
+    return plus, *([binom_parity(s, r) for s in plus] for r in (2, 3, 4))
+
+
 def w3_coefficients(A: ReducedMatrix) -> GradedPolynomial:
     """Pre-reduction w3 from its closed coefficients.
 
@@ -124,23 +130,17 @@ def w3_coefficients(A: ReducedMatrix) -> GradedPolynomial:
     """
     k = A.omega.k
     single, pair = A.dots()
+    plus, c2, c3, _ = _parities(single)
     bits, mask = _key_bits(k, 3), 0
     for i in range(k):
-        mask |= bits[(i, i, i)] * binom_parity(single[i] + 1, 3)
+        mask |= bits[(i, i, i)] * c3[i]
     for i, j in itertools.permutations(range(k), 2):
-        p = (
-            binom_parity(single[i] + 1, 2) * (single[j] + 1)
-            + single[i] * pair[i][j]
-        )
-        mask |= bits[tuple(sorted((i, i, j)))] * (p % 2)
-    for tri in itertools.combinations(range(k), 3):
-        q = 1
-        for p in tri:
-            q *= single[p] + 1
-        for p in tri:
-            a, b = (x for x in tri if x != p)
-            q += (single[p] + 1) * pair[a][b]
-        mask |= bits[tri] * (q % 2)
+        p = c2[i] * plus[j] + single[i] * pair[i][j]
+        mask |= bits[(i, i, j) if i < j else (j, i, i)] * (p % 2)
+    for a, b, c in itertools.combinations(range(k), 3):
+        q = (plus[a] * plus[b] * plus[c]
+             + plus[a] * pair[b][c] + plus[b] * pair[a][c] + plus[c] * pair[a][b])
+        mask |= bits[(a, b, c)] * (q % 2)
     return GradedPolynomial(k, {3: mask})
 
 
@@ -180,52 +180,36 @@ def w4_coefficients(A: ReducedMatrix) -> GradedPolynomial:
     """
     k = A.omega.k
     (single, pair), cols = A.dots(), A.columns
+    plus, c2, c3, c4 = _parities(single)
+    half = [binom_parity(s, 2) for s in single]  # C(k_i, 2) mod 2
     bits, mask = _key_bits(k, 4), 0
     for i in range(k):
-        mask |= bits[(i, i, i, i)] * binom_parity(single[i] + 1, 4)
+        mask |= bits[(i, i, i, i)] * c4[i]
     for i, j in itertools.permutations(range(k), 2):
-        kij = pair[i][j]
-        p1 = (
-            binom_parity(single[i] + 1, 3) * (single[j] + 1)
-            + binom_parity(single[i], 2) * kij
-        )
-        mask |= bits[tuple(sorted((i, i, i, j)))] * (p1 % 2)
+        p1 = c3[i] * plus[j] + half[i] * pair[i][j]
+        mask |= bits[(i, i, i, j) if i < j else (j, i, i, i)] * (p1 % 2)
     for i, j in itertools.combinations(range(k), 2):
-        p2 = (
-            binom_parity(single[i] + 1, 2) * binom_parity(single[j] + 1, 2)
-            + single[i] * single[j] * pair[i][j]
-            + binom_parity(pair[i][j], 2)
-        )
+        p2 = c2[i] * c2[j] + single[i] * single[j] * pair[i][j] + binom_parity(pair[i][j], 2)
         mask |= bits[(i, i, j, j)] * (p2 % 2)
     for sq in range(k):
-        for i2, i3 in itertools.combinations(range(k), 2):
-            if sq in (i2, i3):
-                continue
-            kt = (cols[sq] & cols[i2] & cols[i3]).bit_count()
-            q = binom_parity(single[sq] + 1, 2) * (
-                (single[i2] + 1) * (single[i3] + 1) + pair[i2][i3]
-            )
-            q += single[sq] * (
-                pair[sq][i2] * (single[i3] + 1)
-                + pair[sq][i3] * (single[i2] + 1)
-            )
-            q += pair[sq][i2] * pair[sq][i3] + kt
-            mask |= bits[tuple(sorted((sq, sq, i2, i3)))] * (q % 2)
-    for quad in itertools.combinations(range(k), 4):
-        r = 1
-        for p in quad:
-            r *= single[p] + 1
-        a, b, c, d = quad
-        # each pair p < q of the quadruple, with its complement z < w
-        for p, q, z, w in ((a, b, c, d), (a, c, b, d), (a, d, b, c),
-                           (b, c, a, d), (b, d, a, c), (c, d, a, b)):
-            r += (single[p] + 1) * (single[q] + 1) * pair[z][w]
-        r += (
-            pair[a][b] * pair[c][d]
-            + pair[a][c] * pair[b][d]
-            + pair[a][d] * pair[b][c]
-        )
-        mask |= bits[quad] * (r % 2)
+        c2sq, ksq, row, col = c2[sq], single[sq], pair[sq], cols[sq]
+        for i2, i3 in itertools.combinations([i for i in range(k) if i != sq], 2):
+            kt = (col & cols[i2] & cols[i3]).bit_count()
+            q = (c2sq * (plus[i2] * plus[i3] + pair[i2][i3])
+                 + ksq * (row[i2] * plus[i3] + row[i3] * plus[i2])
+                 + row[i2] * row[i3] + kt)
+            key = ((sq, sq, i2, i3) if sq < i2 else
+                   (i2, sq, sq, i3) if sq < i3 else (i2, i3, sq, sq))
+            mask |= bits[key] * (q % 2)
+    for a, b, c, d in itertools.combinations(range(k), 4):
+        # the product, then each pair of the quadruple times its complement's
+        # pair count, then each complementary pairing
+        r = (plus[a] * plus[b] * plus[c] * plus[d]
+             + plus[a] * plus[b] * pair[c][d] + plus[a] * plus[c] * pair[b][d]
+             + plus[a] * plus[d] * pair[b][c] + plus[b] * plus[c] * pair[a][d]
+             + plus[b] * plus[d] * pair[a][c] + plus[c] * plus[d] * pair[a][b]
+             + pair[a][b] * pair[c][d] + pair[a][c] * pair[b][d] + pair[a][d] * pair[b][c])
+        mask |= bits[(a, b, c, d)] * (r % 2)
     return GradedPolynomial(k, {4: mask})
 
 

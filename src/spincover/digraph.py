@@ -281,15 +281,16 @@ def parse_digraph(text: str) -> WeightedDigraph:
 
 
 def serialize_digraph(G: WeightedDigraph) -> str:
-    obj = {
-        "omega": list(G.omega.dims),
-        "edges": [
-            {
-                "from": i + 1,
-                "to": j + 1,
-                "w": bit_string(w, G.omega.dims[i]),
-            }
-            for (i, j), w in sorted(G.edges.items())
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The document `json.dumps(obj, indent=2)` writes for {"omega": [...],
+    "edges": [{"from", "to", "w"}, ...]}, edges in order, plus a newline;
+    written directly, since an indented dump skips the C encoder.  Every
+    value is an int or a 0/1 string, which JSON needs no escape for."""
+    dims = G.omega.dims
+    omega = ",\n".join(f"    {n}" for n in dims)
+    edges = ",\n".join(
+        f'    {{\n      "from": {i + 1},\n      "to": {j + 1},\n'
+        f'      "w": "{bit_string(w, dims[i])}"\n    }}'
+        for (i, j), w in sorted(G.edges.items())
+    )
+    return (f'{{\n  "omega": [\n{omega}\n  ],\n'
+            + (f'  "edges": [\n{edges}\n  ]\n}}\n' if edges else '  "edges": []\n}\n'))

@@ -9,10 +9,13 @@ generators g_i = x_i * prod over block-row i of (sum of x_j over the row).
 A degree-d piece of a polynomial is an int bitmask, bit t the t-th monomial
 of degree d in descending lex order.  Tables cached per (k, d) list these
 monomials, their printed names and, per variable x_j, the bit of x_j times
-each of them, so a piece times a linear form is an XOR of table entries over
-its set bits.  `_expand` multiplies out the total class, the product over
-the n + k rows of [I_k; A] of (1 + sum of x_j over the row) (Davis and
-Januszkiewicz, 1991), truncated above the wanted degree.
+each of them.  A row's image, cached per (k, d, row), XORs those tables over
+the row's variables once, so a piece times the row's linear form is one image
+entry per set bit of the piece.  x_1 times monomial t is monomial t, so the
+image leaves x_1 out and rows that differ only there share it.  `_expand`
+multiplies out the total class, the product over the n + k rows of [I_k; A]
+of (1 + sum of x_j over the row) (Davis and Januszkiewicz, 1991), truncated
+above the wanted degree.
 
 Two bounded caches let a family walk, whose last block-row varies fastest,
 reuse work across consecutive matrices.  Each is keyed on exactly the rows
@@ -21,7 +24,8 @@ it reads, so a hit is the value a rebuild would give:
 - The ideal in degree d is spanned by the multiples x^mu * g_i of degree d,
   and g_i reads only block-row i.  So the echelon basis of I_d is a function
   of (omega, d, the rows of the blocks with n_i < d); it is cached on that
-  key and built from those multiples alone.
+  key and built from those multiples alone, each the monomial x^mu * x_i
+  times the linear forms of block i's rows, read off their images.
 - The expansion multiplies the identity rows and every block-row but the
   last into a prefix, cached on (k, maxdeg, those rows), and then only the
   rows of the last block.
@@ -38,6 +42,7 @@ variables ever occur, so per-degree linear algebra is exact and cheap.
 from __future__ import annotations
 
 import functools
+from operator import xor
 from typing import Iterable, Iterator
 
 from .model import DimensionVector, ReducedMatrix
@@ -73,24 +78,31 @@ def _times_x(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _times_var(image: tuple[int, ...], mask: int) -> int:
-    """A piece times x_j, where image = _times_x(k, d)[j]."""
-    out = 0
+@functools.lru_cache(maxsize=None)
+def _row_image(k: int, d: int, row: int) -> tuple[int, ...]:
+    """Entry t: monomial t of degree d times the sum of x_j over the set bits
+    j >= 1 of row, as a degree-(d + 1) piece.  Bit 0 is the caller's, since
+    x_1 times monomial t is monomial t: rows that differ only there share
+    this image.  A zero row gives zeros, and one variable its `_times_x` entry."""
+    tables = _times_x(k, d)
+    images = [tables[j] for j in range(1, k) if (row >> j) & 1]
+    if not images:
+        return (0,) * len(tables[0])
+    image = images[0]
+    for other in images[1:]:
+        image = tuple(map(xor, image, other))
+    return image
+
+
+def _times_linear(k: int, d: int, row: int, mask: int) -> int:
+    """The degree-d piece `mask` times the sum of x_j over the set bits of row:
+    one image entry per set bit of mask."""
+    out = mask if row & 1 else 0
+    image = _row_image(k, d, row & ~1)
     while mask:
         low = mask & -mask
         out ^= image[low.bit_length() - 1]
         mask ^= low
-    return out
-
-
-def _times_linear(k: int, d: int, row: int, mask: int) -> int:
-    """The degree-d piece `mask` times the sum of x_j over the set bits of row."""
-    # x_1 times monomial t of degree d is monomial t of degree d + 1.
-    out = mask if row & 1 else 0
-    tables = _times_x(k, d)
-    for j in range(1, k):
-        if (row >> j) & 1:
-            out ^= _times_var(tables[j], mask)
     return out
 
 
@@ -146,8 +158,12 @@ def _monomial_names(k: int, d: int) -> tuple[str, ...]:
 def piece_str(k: int, d: int, mask: int) -> str:
     """Render the degree-d piece `mask` like "x1^2*x3 + x1*x2^2", lex
     descending; "0" when it is zero."""
-    names = _monomial_names(k, d)
-    return " + ".join([names[t] for t in range(mask.bit_length()) if (mask >> t) & 1]) or "0"
+    names, terms = _monomial_names(k, d), []
+    while mask:
+        low = mask & -mask
+        terms.append(names[low.bit_length() - 1])
+        mask ^= low
+    return " + ".join(terms) or "0"
 
 
 def polynomial_str(p: GradedPolynomial) -> str:
@@ -241,24 +257,30 @@ def _rows_read(omega: DimensionVector, d: int) -> tuple[int, ...]:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _divisible(k: int, d: int, i: int) -> tuple[int, ...]:
+    """The bits of the degree-d monomials that x_i divides, d >= 1."""
+    return tuple(b.bit_length() - 1 for b in _times_x(k, d - 1)[i])
+
+
 @functools.lru_cache(maxsize=32)
 def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> DegreeBasis:
     """Echelon basis of I_d for every matrix over omega whose rows
     `_rows_read(omega, d)` are `low`: the span of the multiples x^mu * g_i
-    of degree d, each taken once, as mu runs over the non-decreasing
-    index sequences."""
+    of degree d, one per monomial mu.  Each is (x^mu * x_i) times the linear
+    form of every row of block i, so it starts from a degree-(d - n_i)
+    monomial that x_i divides, and the first row's factor is one image entry."""
     k, multiples, offsets = omega.k, [], omega.offsets
     row = dict(zip(_rows_read(omega, d), low))
     for i, n in enumerate(omega.dims):
         if n < d:
-            block = range(offsets[i], offsets[i + 1])
-            # (multiple, the least variable it may still be multiplied by)
-            layer = [(_generator(k, i, [row[r] for r in block]), 0)]
-            for deg in range(n + 1, d):
-                tables = _times_x(k, deg)
-                layer = [(_times_var(tables[j], m), j)
-                         for m, first in layer for j in range(first, k)]
-            multiples += [m for m, _ in layer]
+            first, *rest = [row[r] for r in range(offsets[i], offsets[i + 1])]
+            image, starts = _row_image(k, d - n, first & ~1), _divisible(k, d - n, i)
+            # x_1 keeps the monomial's bit
+            layer = [image[t] ^ ((first & 1) << t) for t in starts]
+            for deg, r in enumerate(rest, d - n + 1):
+                layer = [_times_linear(k, deg, r, m) for m in layer]
+            multiples += layer
     return DegreeBasis(multiples)
 
 

@@ -864,23 +864,30 @@ def test_every_spelling_of_the_degree_is_read(degree):
     assert (spelled.exit_code, spelled.output) == (0, plain.output)
 
 
+USAGE_ERRORS = [
+    ([], "required: COMMAND"),
+    (["--json"], "required: COMMAND"),
+    (["frobnicate", path("rp2.txt")], "invalid choice: 'frobnicate'"),
+    # a long option is never abbreviated, and it is named before the missing
+    # --degree and the file '2'
+    (["sw", "--deg", "2", path("rp2.txt")], "unrecognized arguments: --deg\n"),
+    (["check", "-h"], "unrecognized arguments: -h\n"),
+    (["check", str(DATA)], f"argument matrix_file: {str(DATA)!r} is not an existing file"),
+    (["check", "missing.txt"], "argument matrix_file: 'missing.txt' is not an existing file"),
+    (["convert", path("rp2.txt")], "required: --to"),
+    # named before the missing file too
+    (["sw", "-m", "2", "--deg", "missing.txt"], "unrecognized arguments: --deg\n"),
+]
+
+
 @pytest.mark.parametrize(
-    "args",
-    [
-        [],
-        ["--json"],
-        ["frobnicate", path("rp2.txt")],
-        ["sw", "--deg", "2", path("rp2.txt")],  # a long option is never abbreviated
-        ["check", "-h"],
-        ["check", str(DATA)],
-        ["check", "missing.txt"],
-        ["convert", path("rp2.txt")],
-    ],
+    "args, named", USAGE_ERRORS, ids=[f"args{i}" for i in range(len(USAGE_ERRORS))]
 )
-def test_a_usage_error_exits_2_with_the_usage_line(args):
+def test_a_usage_error_exits_2_with_the_usage_line(args, named):
     result = run_cli(args)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr.startswith("usage: spincover")
+    assert named in result.stderr
 
 
 @pytest.mark.parametrize("command", [[], *([name] for name in main.commands)])

@@ -28,9 +28,9 @@ from spincover import (
     w4_coefficients,
     w4_vanishes_big,
 )
-from spincover.closedform import closed_coefficients
-from spincover.oracle import monomials_of_degree
-from conftest import dv, perfbench_common, rp, upper_triangular_draw
+from spincover.closedform import _key_bits, binom_parity, closed_coefficients
+from spincover.oracle import GradedPolynomial, monomials_of_degree
+from conftest import EVERY_MATRIX_FAMILIES, dv, perfbench_common, rp, upper_triangular_draw
 
 
 def from_compact(dims, compact):
@@ -267,6 +267,99 @@ def test_closed_forms_equal_the_raw_expansion_on_seeded_matrices():
             assert closed_coefficients(A, m) == wm, (A, m)
             cases += 1
     assert cases == 1200
+
+
+def w3_reference(A):
+    """w3_coefficients as it read before its parities were hoisted: each
+    binomial parity read where it is used, each key sorted."""
+    k = A.omega.k
+    single, pair = A.dots()
+    bits, mask = _key_bits(k, 3), 0
+    for i in range(k):
+        mask |= bits[(i, i, i)] * binom_parity(single[i] + 1, 3)
+    for i, j in itertools.permutations(range(k), 2):
+        p = (
+            binom_parity(single[i] + 1, 2) * (single[j] + 1)
+            + single[i] * pair[i][j]
+        )
+        mask |= bits[tuple(sorted((i, i, j)))] * (p % 2)
+    for tri in itertools.combinations(range(k), 3):
+        q = 1
+        for p in tri:
+            q *= single[p] + 1
+        for p in tri:
+            a, b = (x for x in tri if x != p)
+            q += (single[p] + 1) * pair[a][b]
+        mask |= bits[tri] * (q % 2)
+    return GradedPolynomial(k, {3: mask})
+
+
+def w4_reference(A):
+    """w4_coefficients as it read before its parities were hoisted."""
+    k = A.omega.k
+    (single, pair), cols = A.dots(), A.columns
+    bits, mask = _key_bits(k, 4), 0
+    for i in range(k):
+        mask |= bits[(i, i, i, i)] * binom_parity(single[i] + 1, 4)
+    for i, j in itertools.permutations(range(k), 2):
+        kij = pair[i][j]
+        p1 = (
+            binom_parity(single[i] + 1, 3) * (single[j] + 1)
+            + binom_parity(single[i], 2) * kij
+        )
+        mask |= bits[tuple(sorted((i, i, i, j)))] * (p1 % 2)
+    for i, j in itertools.combinations(range(k), 2):
+        p2 = (
+            binom_parity(single[i] + 1, 2) * binom_parity(single[j] + 1, 2)
+            + single[i] * single[j] * pair[i][j]
+            + binom_parity(pair[i][j], 2)
+        )
+        mask |= bits[(i, i, j, j)] * (p2 % 2)
+    for sq in range(k):
+        for i2, i3 in itertools.combinations(range(k), 2):
+            if sq in (i2, i3):
+                continue
+            kt = (cols[sq] & cols[i2] & cols[i3]).bit_count()
+            q = binom_parity(single[sq] + 1, 2) * (
+                (single[i2] + 1) * (single[i3] + 1) + pair[i2][i3]
+            )
+            q += single[sq] * (
+                pair[sq][i2] * (single[i3] + 1)
+                + pair[sq][i3] * (single[i2] + 1)
+            )
+            q += pair[sq][i2] * pair[sq][i3] + kt
+            mask |= bits[tuple(sorted((sq, sq, i2, i3)))] * (q % 2)
+    for quad in itertools.combinations(range(k), 4):
+        r = 1
+        for p in quad:
+            r *= single[p] + 1
+        a, b, c, d = quad
+        for p, q, z, w in ((a, b, c, d), (a, c, b, d), (a, d, b, c),
+                           (b, c, a, d), (b, d, a, c), (c, d, a, b)):
+            r += (single[p] + 1) * (single[q] + 1) * pair[z][w]
+        r += (
+            pair[a][b] * pair[c][d]
+            + pair[a][c] * pair[b][d]
+            + pair[a][d] * pair[b][c]
+        )
+        mask |= bits[quad] * (r % 2)
+    return GradedPolynomial(k, {4: mask})
+
+
+def test_closed_forms_equal_their_unhoisted_references():
+    # Every valid matrix of the small families, then 200 seeded matrices per
+    # query shape: the hoisted parities and unsorted keys change no bit.
+    common, rng = perfbench_common(), random.Random(37)
+    matrices = [A for dims in EVERY_MATRIX_FAMILIES for A in enumerate_valid(dv(*dims))]
+    matrices += [
+        ReducedMatrix(dv(*dims), common.random_valid_matrix(rng, dims))
+        for dims in common.QUERY_SHAPES
+        for _ in range(200)
+    ]
+    for A in matrices:
+        assert w3_coefficients(A) == w3_reference(A), A
+        assert w4_coefficients(A) == w4_reference(A), A
+    assert len(matrices) == 120 + 200 * len(common.QUERY_SHAPES)
 
 
 def test_closed_w1_reads_the_self_dots_without_the_pair_table(spin_235):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -26,7 +27,9 @@ from spincover import (
     weighted_in_degree,
 )
 from spincover import digraph, model
-from conftest import EVERY_MATRIX_FAMILIES, DATA, dv, seeded_candidates, seeded_matrices
+from conftest import (
+    EVERY_MATRIX_FAMILIES, DATA, dv, perfbench_common, seeded_candidates, seeded_matrices,
+)
 
 
 
@@ -291,6 +294,29 @@ def test_serialize_parse_roundtrip():
     for A in enumerate_valid(dv(1, 2, 2)):
         g = from_matrix(A)
         assert parse_digraph(serialize_digraph(g)) == g
+
+
+def test_serialized_digraph_is_the_indented_json_dump():
+    # The direct writer against json.dumps(indent=2) of the same object, on
+    # seeded digraphs of every query shape and on one with no edges.
+    common, rng = perfbench_common(), random.Random(41)
+    graphs = [from_matrix(identity_matrix(dv(2, 3)))]
+    graphs += [
+        from_matrix(ReducedMatrix(dv(*dims), common.random_valid_matrix(rng, dims)))
+        for dims in common.QUERY_SHAPES
+        for _ in range(100)
+    ]
+    assert not graphs[0].edges and sum(len(g.edges) > 1 for g in graphs) > 500
+    for g in graphs:
+        dims = g.omega.dims
+        obj = {
+            "omega": list(dims),
+            "edges": [
+                {"from": i + 1, "to": j + 1, "w": model.bit_string(w, dims[i])}
+                for (i, j), w in sorted(g.edges.items())
+            ],
+        }
+        assert serialize_digraph(g) == json.dumps(obj, indent=2) + "\n"
 
 
 def test_parse_rejects_malformed_documents():

@@ -26,7 +26,7 @@ from spincover import (
 from spincover.closedform import binom_parity
 from spincover import oracle
 from spincover.oracle import DegreeBasis, monomials_of_degree
-from conftest import dv, expand_tuples, rp
+from conftest import dv, expand_tuples, perfbench_common, rp
 
 HILBERT_FAMILIES = [(1, 1, 1, 1), (2, 3), (1, 1, 2), (3, 3)]
 
@@ -177,17 +177,20 @@ def test_total_class_and_generators_match_the_tuple_reference(dims):
 
 def generator_shift_basis(A, d):
     """Every generator times every monomial of the complementary degree:
-    the definitional spanning set of the ideal in degree d."""
-    k = A.omega.k
+    the definitional spanning set of the ideal in degree d.  Each g_i is the
+    top piece of the tuple expansion over x_i and the rows of block i, so no
+    bitmask kernel of the oracle builds it."""
+    k, omega = A.omega.k, A.omega
     index = {e: t for t, e in enumerate(monomials_of_degree(k, d))}
     shifts = []
-    for i, g in enumerate(relation_generators(A)):
-        gdeg = A.omega.dims[i] + 1
-        if gdeg > d:
+    for i, n in enumerate(omega.dims):
+        if n + 1 > d:
             continue
-        for m in monomials_of_degree(k, d - gdeg):
+        block = A.rows[omega.offsets[i]:omega.offsets[i + 1]]
+        g = expand_tuples(k, [1 << i, *block], n + 1)[n + 1]
+        for m in monomials_of_degree(k, d - n - 1):
             vec = 0
-            for e in decode(k, gdeg, g.pieces[gdeg]):
+            for e in g:
                 vec ^= 1 << index[tuple(a + b for a, b in zip(e, m))]
             shifts.append(vec)
     return DegreeBasis(shifts)
@@ -252,6 +255,52 @@ def test_degree_recursive_basis_matches_the_generator_shifts(dims):
             assert fast.rank == slow.rank
             for t in range(math.comb(d + omega.k - 1, d)):
                 assert fast.reduce(1 << t) == slow.reduce(1 << t)
+
+
+@pytest.mark.parametrize("dims", [s for s in perfbench_common().QUERY_SHAPES if len(s) >= 4])
+def test_oracle_matches_the_tuple_references_on_seeded_query_shapes(dims):
+    # The row images, and the ideal's multiples read off them, against the
+    # tuple expansion and the generator shifts, up to degree 5, on the shapes
+    # whose rows take several variables at once.
+    common, rng, top = perfbench_common(), random.Random(29), 5
+    omega = dv(*dims)
+    k = omega.k
+    for _ in range(6):
+        A = ReducedMatrix(omega, common.random_valid_matrix(rng, dims))
+        total = total_sw_truncated(A, top)
+        want = expand_tuples(k, [1 << i for i in range(k)] + list(A.rows), top)
+        assert [decode(k, d, total.pieces.get(d, 0)) for d in range(top + 1)] == want
+        reduced = reference_reduced_total(A, top)
+        for d in range(1, top + 1):
+            fast, slow = ideal_degree_basis(A, d), generator_shift_basis(A, d)
+            assert fast.rank == slow.rank
+            for t in range(math.comb(d + k - 1, d)):
+                assert fast.reduce(1 << t) == slow.reduce(1 << t)
+            assert sw_oracle(A, d).pieces.get(d, 0) == reduced[d]
+
+
+def test_row_images_are_shared_and_zero_rows_give_zero():
+    # Image entry t is monomial t times the row's linear form without x_1;
+    # x_1 keeps a monomial's bit, so a row with bit 0 adds the piece itself.
+    rng = random.Random(3)
+    for k in range(1, 6):
+        for d in range(4):
+            tables = oracle._times_x(k, d)
+            count = len(tables[0])
+            assert oracle._row_image(k, d, 0) == (0,) * count
+            for j in range(1, k):
+                assert oracle._row_image(k, d, 1 << j) is tables[j]
+            for row in range(0, 1 << k, 2):
+                image = oracle._row_image(k, d, row)
+                for t in range(count):
+                    want = 0
+                    for j in range(1, k):
+                        if (row >> j) & 1:
+                            want ^= tables[j][t]
+                    assert image[t] == want
+                mask = rng.getrandbits(count)
+                alone = oracle._times_linear(k, d, row, mask)
+                assert oracle._times_linear(k, d, row | 1, mask) == alone ^ mask
 
 
 def test_ideal_degree_basis_ranks(torus):
