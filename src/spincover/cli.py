@@ -3,6 +3,10 @@
 Exit codes are a contract: 0 affirmative or clean, 1 negative verdict,
 2 input error (a usage error included), 3 budget refusal, 4 discrepancy
 between deciders.
+
+A plain line (each option one of its flags, given once, each value its own
+token, nothing refused) is read from the command's option table without
+argparse; any other line, every usage error and `--help` go through argparse.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,8 +51,11 @@ def _load(path: str, parse: Callable[[str], object]) -> object:
     """parse(text of the file); an unreadable file exits 2, and so does any
     ValueError of decoding or parsing, as `<path>: <message>`."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
     except OSError as exc:
+        if exc.filename is not None:  # named as pathlib names it: `data//x` as `data/x`
+            exc.filename = str(Path(path))
         _fail(EXIT_INPUT, f"cannot read {path}: {exc}")
     except ValueError as exc:
         _fail(EXIT_INPUT, f"{path}: {exc}")
@@ -130,10 +138,18 @@ def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None
     quietly and an interrupt prints `Aborted!` and exits 1; otherwise both
     propagate.  The callback is read from `main.commands` on every call."""
     try:
-        args = vars(_PARSER.parse_args(argv))
+        argv = sys.argv[1:] if argv is None else argv
+        name = argv[0] if argv else None
+        args = _plain_args(main.commands[name].actions, argv[1:]) if name in main.commands else None
+        if args is None or _missing_input(args):
+            # argparse sets the line that `_CommandParser.error` reads
+            args = vars(_PARSER.parse_args(argv))
+            name = args.pop("command")
+            dest = _missing_input(args)
+            if dest is not None:
+                _SUBPARSERS.choices[name].error(
+                    f"argument {dest}: {args[dest]!r} is not an existing file")
         args.pop("threads", None)  # accepted and ignored
-        name = args.pop("command")
-        _check_input_file(name, args)
         return main.commands[name].callback(**args)
     except (KeyboardInterrupt, BrokenPipeError) as exc:
         if not standalone_mode:
@@ -149,13 +165,54 @@ main.commands = {}
 _INPUT_FILES = ("matrix_file", "input_file")
 
 
-def _check_input_file(name: str, args: dict) -> None:
-    """A missing input file, or a directory, is a usage error.  It is checked
-    once argparse has parsed the whole line, so an unknown option is named first."""
+def _missing_input(args: dict) -> Optional[str]:
+    """The dest of an input file that does not exist or is a directory, a
+    usage error, from one `stat`.  It is checked once the whole line has
+    parsed, so an unknown option is named first."""
     for dest in _INPUT_FILES:
-        path = args.get(dest)
-        if path is not None and (os.path.isdir(path) or not os.path.exists(path)):
-            _SUBPARSERS.choices[name].error(f"argument {dest}: {path!r} is not an existing file")
+        try:
+            if dest in args and stat.S_ISDIR(os.stat(args[dest]).st_mode):
+                return dest
+        except (OSError, ValueError):
+            return dest
+    return None
+
+
+def _plain_args(actions: tuple[argparse.Action, ...], tokens: list[str]) -> Optional[dict]:
+    """`vars(_PARSER.parse_args([command, *tokens]))` less `command`, for a plain
+    line over the command's actions; None if a token starts with `-` and is no
+    flag (`--help`, `-m2`, `--degree=2`), an option repeats or its value starts
+    with `-`, a positional or required option is missing, or a value is extra
+    or refused by its type or choices."""
+    flags = {flag: action for action in actions for flag in action.option_strings}
+    positionals = [action for action in actions if not action.option_strings]
+    args: dict = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            if token[:1] == "-" or not positionals:
+                return None
+            action, value = positionals.pop(0), token
+        elif action.dest in args:
+            return None
+        elif action.nargs == 0:  # store_true
+            args[action.dest] = action.const
+            continue
+        else:
+            value = next(tokens, "-")  # a missing value is declined like a dash
+            if value[:1] == "-":
+                return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        args[action.dest] = value
+    if positionals or any(action.required and action.dest not in args for action in actions):
+        return None
+    return {action.dest: action.default for action in actions} | args
 
 
 def _opt(*flags: str, **settings) -> tuple[tuple[str, ...], dict]:
@@ -169,10 +226,9 @@ def command(*options: tuple[tuple[str, ...], dict], name: Optional[str] = None):
         cmd = name or fn.__name__
         make = functools.partial(_SUBPARSERS.add_parser, cmd, help=fn.__doc__.splitlines()[0])
         sub = _parser(make, description=fn.__doc__)
-        for flags, settings in options:
-            sub.add_argument(*flags, **settings)
+        actions = tuple(sub.add_argument(*flags, **settings) for flags, settings in options)
         sub.known = frozenset(["--help", *(f for flags, _ in options for f in flags if f[0] == "-")])
-        main.commands[cmd] = SimpleNamespace(name=cmd, callback=fn)
+        main.commands[cmd] = SimpleNamespace(name=cmd, callback=fn, actions=actions)
         return fn
 
     return register

@@ -476,22 +476,19 @@ def parse_matrix(text: str) -> ReducedMatrix:
                 raise MatrixFormatError(lineno, f"bad dimension line {line!r}")
             if any(d < 1 for d in dims):
                 raise MatrixFormatError(lineno, f"non-positive factor in {dims}")
+            k, n = len(dims), sum(dims)
             continue
-        if len(rows) == sum(dims):
+        if len(rows) == n:
             raise MatrixFormatError(lineno, "extra row after matrix is complete")
-        if len(line) != len(dims):
-            raise MatrixFormatError(
-                lineno, f"expected {len(dims)} columns, got {len(line)}"
-            )
-        if any(ch not in "01" for ch in line):
+        if len(line) != k:
+            raise MatrixFormatError(lineno, f"expected {k} columns, got {len(line)}")
+        if line.count("0") + line.count("1") != k:
             raise MatrixFormatError(lineno, f"row {line!r} has characters outside 0/1")
         rows.append(int(line[::-1], 2))
     if dims is None:
         raise MatrixFormatError(last_line or 1, "missing dimension line")
-    if len(rows) != sum(dims):
-        raise MatrixFormatError(
-            last_line or 1, f"expected {sum(dims)} rows, got {len(rows)}"
-        )
+    if len(rows) != n:
+        raise MatrixFormatError(last_line or 1, f"expected {n} rows, got {len(rows)}")
     return ReducedMatrix(DimensionVector(dims), rows)
 
 

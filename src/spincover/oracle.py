@@ -26,9 +26,9 @@ it reads, so a hit is the value a rebuild would give:
   of (omega, d, the rows of the blocks with n_i < d); it is cached on that
   key and built from those multiples alone, each the monomial x^mu * x_i
   times the linear forms of block i's rows, read off their images.
-- The expansion multiplies the identity rows and every block-row but the
-  last into a prefix, cached on (k, maxdeg, those rows), and then only the
-  rows of the last block.
+- The expansion multiplies the identity rows (their product cached on
+  (k, maxdeg)) and every block-row but the last into a prefix, cached on
+  (k, maxdeg, those rows), and then only the rows of the last block.
 
 Cached values are never mutated, and every lookup is made for a
 `ReducedMatrix`, which its constructor has checked, so an invalid matrix that
@@ -301,10 +301,16 @@ def normal_form(p: GradedPolynomial, A: ReducedMatrix) -> GradedPolynomial:
     return GradedPolynomial(p.k, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity_prefix(k: int, maxdeg: int) -> tuple[int, ...]:
+    """The truncated product over the identity rows, (1 + x_1)...(1 + x_k)."""
+    return tuple(_expand(k, [1 << i for i in range(k)], maxdeg))
+
+
 @functools.lru_cache(maxsize=1)
 def _prefix(k: int, maxdeg: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """The truncated product over the identity rows and then `rows`."""
-    return tuple(_expand(k, [*(1 << i for i in range(k)), *rows], maxdeg))
+    return tuple(_expand(k, rows, maxdeg, _identity_prefix(k, maxdeg)))
 
 
 def total_sw_truncated(A: ReducedMatrix, maxdeg: int) -> GradedPolynomial:

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import gc
 import io
 import json
 import os
 import resource
+import socket
 import subprocess
 import sys
 import time
@@ -895,6 +897,139 @@ def test_help_exits_0_on_stdout(command):
     result = run_cli([*command, "--help"])
     assert (result.exit_code, result.stderr) == (0, "")
     assert result.stdout.startswith(f"usage: {' '.join(['spincover', *command])} [--help]")
+
+
+def argparse_args(argv: list[str]):
+    """`vars(_PARSER.parse_args(argv))` less `command`, or None where argparse
+    exits (a usage error or `--help`)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(cli._PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+    del args["command"]
+    return args
+
+
+def test_the_plain_reader_knows_every_kind_of_action():
+    # `_plain_args` reads an option of one value or a store_true flag, and a
+    # positional of one value: a new kind of action needs it taught first.
+    for cmd in main.commands.values():
+        for action in cmd.actions:
+            assert type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+            assert action.nargs in (None, 0) and action.default is not argparse.SUPPRESS
+
+
+REFUSED_VALUES = ["Digraph", "0", "x", "-1", "-", "", "--json", "missing.txt"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and tokens over its vocabulary: a chunk (a flag and a value, a
+    flag alone, or a positional value) for most required actions and half the
+    others, in any order; then up to two more chunks, repeats or noise: values
+    its type or choices refuse, flag-like, empty or stray values, `=` and
+    attached spellings, `--`, `-`."""
+    name = draw(st.sampled_from(sorted(main.commands)))
+    chunks, odds = [], []
+    noise = [["--help"], ["--"], ["-"], [""], ["-1"], [str(DATA)], ["missing.txt"]]
+    for action in main.commands[name].actions:
+        values = list(action.choices or (["2", "7"] if action.type else ["2", path("klein.txt")]))
+        flags = action.option_strings
+        odds.append(7 if action.required else 1)
+        if action.nargs == 0:
+            chunks.append([[flag] for flag in flags])
+        else:
+            chunks.append([[flag, v] for flag in flags for v in values] or [[v] for v in values])
+            noise += [[flag, v] for flag in flags for v in REFUSED_VALUES]
+            noise += [[f"{flag}={values[0]}"] for flag in flags]
+            noise += [[f"{flag}{values[0]}"] for flag in flags]
+    picked = [draw(st.sampled_from(c)) for c, n in zip(chunks, odds) if draw(st.integers(0, n))]
+    picked += draw(st.lists(st.sampled_from(noise + sum(chunks, [])), max_size=2))
+    return name, sum(draw(st.permutations(picked)), [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=command_lines())
+def test_the_plain_reader_declines_or_equals_argparse(line):
+    name, tokens = line
+    plain = cli._plain_args(main.commands[name].actions, tokens)
+    assert plain is None or plain == argparse_args([name, *tokens])
+
+
+READ_PLAINLY = [
+    ["check", path("klein.txt")],
+    ["check", "--json", path("klein.txt")],
+    ["check", "missing.txt"],
+    ["sw", path("klein.txt"), "-m", "2", "--both"],
+    ["sw", "--degree", "0", "--oracle", "--json", path("klein.txt")],
+    ["convert", path("klein.txt"), "--to", "digraph", "-o", "out.txt"],
+    ["verify", "--omega", "1,2,4", "--check", "spin", "--census", "out.jsonl"],
+    ["verify", "--omega", "3,3,3", "--check", "w3", "--sample", "200", "--threads", "2"],
+    ["conjecture", "--omega", "2,3", "--t", "1", "--reading", "as-written"],
+    ["enumerate", "--omega", "", "--budget", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", READ_PLAINLY, ids=[" ".join(a[:2]) for a in READ_PLAINLY])
+def test_a_plain_line_is_read_as_argparse_reads_it(argv):
+    plain = cli._plain_args(main.commands[argv[0]].actions, argv[1:])
+    assert plain is not None and plain == argparse_args(argv)
+
+
+DECLINED = [
+    ["check", "--help", path("klein.txt")],                   # --help
+    ["check", "-x", path("klein.txt")],                       # an unknown token
+    ["check", "--", path("klein.txt")],
+    ["check", "-"],
+    ["sw", "--degree=2", path("klein.txt")],                  # an `=` value
+    ["verify", "--omega=1,1"],
+    ["sw", "-m2", path("klein.txt")],                         # an attached value
+    ["sw", "-m", "-1", path("klein.txt")],                    # a value that starts with -
+    ["convert", path("klein.txt"), "--to", "digraph", "-o", "--to"],
+    ["verify", "--omega", "1,1", "--census", "--json"],
+    ["sw", "-m", "2", "-m", "3", path("klein.txt")],          # a repeated option
+    ["sw", "-m", "2", "--degree", "2", path("klein.txt")],
+    ["verify", "--omega", "1,1", "--json", "--json"],
+    ["sw", path("klein.txt"), "-m"],                          # a missing value
+    ["check"],                                                # a missing positional
+    ["check", path("klein.txt"), path("rp2.txt")],            # an extra positional
+    ["sw", path("klein.txt")],                                # a missing required option
+    ["convert", path("klein.txt")],
+    ["verify", "--check", "w3"],
+    ["sw", "-m", "x", path("klein.txt")],                     # a type that raises
+    ["verify", "--omega", "1,1", "--threads", "0"],
+    ["convert", path("klein.txt"), "--to", "Digraph"],        # a value outside choices
+    ["verify", "--omega", "1,1", "--check", "w5"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=[f"declined{i}" for i in range(len(DECLINED))])
+def test_the_plain_reader_declines_every_other_line(argv):
+    assert cli._plain_args(main.commands[argv[0]].actions, argv[1:]) is None
+
+
+def test_a_missing_file_after_plain_lines_is_worded_by_argparse():
+    # A plain line does not pass argparse, so the command's parser still holds
+    # the last line argparse read (`check -h` here); a missing input file is
+    # reported only once argparse has read its own line.
+    assert "unrecognized arguments: -h" in run_cli(["check", "-h"]).stderr
+    assert run_cli(["check", path("klein.txt")]).exit_code == 1
+    for target in (str(DATA), "missing.txt"):
+        result = run_cli(["check", target])
+        assert result.exit_code == 2 and "unrecognized" not in result.stderr
+        assert f"argument matrix_file: {target!r} is not an existing file" in result.stderr
+
+
+def test_an_unreadable_file_is_named_as_pathlib_names_it(tmp_path, monkeypatch):
+    # A socket exists and is no directory, so it passes the usage check, and
+    # opening it fails; the errno text names it without the doubled slash.
+    monkeypatch.chdir(tmp_path)
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind("sock")
+        result = run_cli(["check", ".//sock"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "cannot read .//sock: [Errno 6] No such device or address: 'sock'\n"
 
 
 def test_sw_both_exits_4_on_a_lying_oracle(monkeypatch):

@@ -561,6 +561,25 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert f"line {line}:" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 1\n1a\n01\n", "line 2: row '1a' has characters outside 0/1"),
+        ("1 1\n١0\n01\n", "line 2: row '١0' has characters outside 0/1"),
+        ("1 1\n1 0\n01\n", "line 2: expected 2 columns, got 3"),
+        ("1 1\n1\t0\n01\n", "line 2: expected 2 columns, got 3"),
+        ("1 1\n1\n01\n", "line 2: expected 2 columns, got 1"),
+        ("1 1\n10\n01\n11\n", "line 4: extra row after matrix is complete"),
+        ("1 1\n10\n\n# c\n", "line 4: expected 2 rows, got 1"),
+    ],
+)
+def test_parse_row_errors_keep_their_words(text, message):
+    # A row is checked by its length and then by its counts of 0 and 1.
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("line", ["١ 1", "1_0 1", "+1 1", "-1 1", "1 ２"])
 def test_parse_refuses_dimension_tokens_that_int_would_read(line):
     # A factor dimension is plain ASCII decimal digits; int() also reads

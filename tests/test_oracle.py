@@ -161,6 +161,17 @@ def test_expansion_over_a_shuffled_last_block_matches_the_tuple_reference():
         )
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_identity_prefix_is_the_elementary_symmetric_polynomials(k):
+    # The product of (1 + x_i) over the identity rows, cached per (k, maxdeg):
+    # its degree-d piece holds each squarefree monomial of degree d once.
+    for maxdeg in range(k + 3):
+        got = [decode(k, d, mask) for d, mask in enumerate(oracle._identity_prefix(k, maxdeg))]
+        want = [{e for e in monomials_of_degree(k, d) if max(e, default=0) <= 1}
+                for d in range(maxdeg + 1)]
+        assert got == want == expand_tuples(k, [1 << i for i in range(k)], maxdeg)
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 2), (2, 3)])
 def test_total_class_and_generators_match_the_tuple_reference(dims):
     omega = dv(*dims)
