@@ -1,8 +1,8 @@
 """Batch command line surface.
 
 Exit codes are a contract: 0 affirmative or clean, 1 negative verdict,
-2 input error (a usage error included), 3 budget refusal, 4 discrepancy
-between deciders.
+2 input error (a usage error included), 3 budget refusal or out of memory,
+4 discrepancy between deciders.
 
 A plain line (each option one of its flags, given once, each value its own
 token, nothing refused) is read from the command's option table without
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -135,25 +136,27 @@ _SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True, metavar="COM
 def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None:
     """Run the command argv names (default sys.argv[1:]); it exits with its
     code, and a usage error exits 2.  Standalone, a closed output pipe exits 1
-    quietly and an interrupt prints `Aborted!` and exits 1; otherwise both
-    propagate.  The callback is read from `main.commands` on every call."""
+    quietly, an interrupt prints `Aborted!` and exits 1, and running out of
+    memory prints `out of memory` and exits 3; otherwise all three propagate.
+    The callback is read from `main.commands` on every call."""
     try:
         argv = sys.argv[1:] if argv is None else argv
         name = argv[0] if argv else None
         args = _plain_args(main.commands[name].actions, argv[1:]) if name in main.commands else None
-        if args is None or _missing_input(args):
-            # argparse sets the line that `_CommandParser.error` reads
+        if args is None:
             args = vars(_PARSER.parse_args(argv))
             name = args.pop("command")
-            dest = _missing_input(args)
-            if dest is not None:
-                _SUBPARSERS.choices[name].error(
-                    f"argument {dest}: {args[dest]!r} is not an existing file")
+        dest = _missing_input(args)
+        if dest is not None:  # a parsed line has no unknown option for `_CommandParser.error`
+            message = f"argument {dest}: {args[dest]!r} is not an existing file"
+            argparse.ArgumentParser.error(_SUBPARSERS.choices[name], message)
         args.pop("threads", None)  # accepted and ignored
         return main.commands[name].callback(**args)
-    except (KeyboardInterrupt, BrokenPipeError) as exc:
+    except (KeyboardInterrupt, BrokenPipeError, MemoryError) as exc:
         if not standalone_mode:
             raise
+        if isinstance(exc, MemoryError):
+            _fail(EXIT_BUDGET, "out of memory")
         if isinstance(exc, KeyboardInterrupt):
             _echo("\nAborted!\n", sys.stderr)
         else:  # Python flushes stdout at exit: point it at devnull, where that finds no pipe
@@ -234,6 +237,13 @@ def command(*options: tuple[tuple[str, ...], dict], name: Optional[str] = None):
     return register
 
 
+@functools.lru_cache(maxsize=16)
+def _subset_names(k: int) -> tuple[str, ...]:
+    """The `k[...]` key of each column subset of size 1..3, in `subset_dots` order."""
+    return tuple(",".join(map(str, S)) for size in range(1, min(3, k) + 1)
+                 for S in itertools.combinations(range(1, k + 1), size))
+
+
 _JSON = _opt("--json", dest="as_json", action="store_true", help="Emit one JSON object.")
 _MATRIX_FILE = _opt("matrix_file")
 
@@ -243,7 +253,7 @@ def check(matrix_file: str, as_json: bool) -> None:
     """Validity, orientability and Spin verdict for a matrix file."""
     A = _load(matrix_file, parse_matrix)
     report = has_spin(A)
-    dots = {",".join(str(i + 1) for i in S): kS for S, kS in subset_dots(A, 3)}
+    dots = dict(zip(_subset_names(A.omega.k), [kS for _, kS in subset_dots(A, 3)]))
     lines = ["valid: yes", f"orientable: {'yes' if report.orientable else 'no'}",
              f"spin: {'yes' if report.spin else 'no'}"]
     if report.failed_condition is not None:

@@ -8,11 +8,10 @@ generators g_i = x_i * prod over block-row i of (sum of x_j over the row).
 
 A degree-d piece of a polynomial is an int bitmask, bit t the t-th monomial
 of degree d in descending lex order.  Tables cached per (k, d) list these
-monomials, their printed names and, per variable x_j, the bit of x_j times
-each of them.  A row's image, cached per (k, d, row), XORs those tables over
-the row's variables once, so a piece times the row's linear form is one image
-entry per set bit of the piece.  x_1 times monomial t is monomial t, so the
-image leaves x_1 out and rows that differ only there share it.  `_expand`
+monomials, their printed names and, per variable x_j, the bit index of x_j
+times each of them in degree d + 1.  A row's image, cached per (k, d, row),
+sets those bits over every set bit j of the row, so a piece times the row's
+linear form is one image entry per set bit of the piece.  `_expand`
 multiplies out the total class, the product over the n + k rows of [I_k; A]
 of (1 + sum of x_j over the row) (Davis and Januszkiewicz, 1991), truncated
 above the wanted degree.
@@ -24,8 +23,9 @@ it reads, so a hit is the value a rebuild would give:
 - The ideal in degree d is spanned by the multiples x^mu * g_i of degree d,
   and g_i reads only block-row i.  So the echelon basis of I_d is a function
   of (omega, d, the rows of the blocks with n_i < d); it is cached on that
-  key and built from those multiples alone, each the monomial x^mu * x_i
-  times the linear forms of block i's rows, read off their images.
+  key and built from those multiples alone, by the one routine that also
+  builds each g_i: a monomial x^mu * x_i times the linear forms of block
+  i's rows, read off their images.
 - The expansion multiplies the identity rows (their product cached on
   (k, maxdeg)) and every block-row but the last into a prefix, cached on
   (k, maxdeg, those rows), and then only the rows of the last block.
@@ -42,8 +42,7 @@ variables ever occur, so per-degree linear algebra is exact and cheap.
 from __future__ import annotations
 
 import functools
-from operator import xor
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .model import DimensionVector, ReducedMatrix
 
@@ -69,11 +68,13 @@ def _monomial_index(k: int, d: int) -> tuple[tuple[ExpVec, ...], dict[ExpVec, in
 
 @functools.lru_cache(maxsize=None)
 def _times_x(k: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Entry j, t: the degree-(d + 1) bit of x_j times monomial t of degree d."""
+    """Entry j, t: the bit index of x_j times monomial t of degree d, in
+    degree d + 1.  Entry 0, t is t; row j lists the degree-(d + 1)
+    monomials that x_j divides."""
     monomials = _monomial_index(k, d)[0]
     index = _monomial_index(k, d + 1)[1]
     return tuple(
-        tuple(1 << index[e[:j] + (e[j] + 1,) + e[j + 1:]] for e in monomials)
+        tuple(index[e[:j] + (e[j] + 1,) + e[j + 1:]] for e in monomials)
         for j in range(k)
     )
 
@@ -81,24 +82,17 @@ def _times_x(k: int, d: int) -> tuple[tuple[int, ...], ...]:
 @functools.lru_cache(maxsize=None)
 def _row_image(k: int, d: int, row: int) -> tuple[int, ...]:
     """Entry t: monomial t of degree d times the sum of x_j over the set bits
-    j >= 1 of row, as a degree-(d + 1) piece.  Bit 0 is the caller's, since
-    x_1 times monomial t is monomial t: rows that differ only there share
-    this image.  A zero row gives zeros, and one variable its `_times_x` entry."""
+    j of row, as a degree-(d + 1) piece.  The monomials x_j times monomial t
+    are distinct, so the sum of their bits is their XOR."""
     tables = _times_x(k, d)
-    images = [tables[j] for j in range(1, k) if (row >> j) & 1]
-    if not images:
-        return (0,) * len(tables[0])
-    image = images[0]
-    for other in images[1:]:
-        image = tuple(map(xor, image, other))
-    return image
+    bits = [map((1).__lshift__, tables[j]) for j in range(k) if (row >> j) & 1]
+    return tuple(map(sum, zip((0,) * len(tables[0]), *bits)))
 
 
 def _times_linear(k: int, d: int, row: int, mask: int) -> int:
     """The degree-d piece `mask` times the sum of x_j over the set bits of row:
     one image entry per set bit of mask."""
-    out = mask if row & 1 else 0
-    image = _row_image(k, d, row & ~1)
+    image, out = _row_image(k, d, row), 0
     while mask:
         low = mask & -mask
         out ^= image[low.bit_length() - 1]
@@ -222,24 +216,30 @@ def _expand(k: int, rows: Iterable[int], maxdeg: int, start: Iterable[int] = (1,
     return pieces
 
 
-def _generator(k: int, i: int, rows: Iterable[int]) -> int:
-    """The piece of g_i: x_i times, per row of block i, the sum of x_j over
-    the set bits j of the row; its degree is the number of rows plus one."""
-    mask = 1 << i  # x_i is monomial i of degree 1
-    for d, row in enumerate(rows, 1):
-        mask = _times_linear(k, d, row, mask)
-    return mask
+def _multiples(k: int, d: int, i: int, rows: Sequence[int]) -> list[int]:
+    """The degree-d pieces x^mu * g_i, one per monomial mu, for the rows of
+    block i.  Each is (x^mu * x_i) times the linear form of every row, so it
+    starts from a degree-(d - n_i) monomial that x_i divides, and the first
+    row's factor is one image entry."""
+    first, *rest = rows
+    start = d - len(rows)
+    image = _row_image(k, start, first)
+    layer = [image[t] for t in _times_x(k, start - 1)[i]]
+    for deg, row in enumerate(rest, start + 1):
+        layer = [_times_linear(k, deg, row, m) for m in layer]
+    return layer
 
 
 def relation_generators(A: ReducedMatrix) -> tuple[GradedPolynomial, ...]:
     """Substitute the linear relations into the Stanley-Reisner generators.
 
     g_i = x_i * prod over rows r of block i of (sum_l a_{rl} x_l), of degree
-    n_i + 1.  The diagonal convention makes each factor contain x_i.
+    n_i + 1: the one multiple of degree n_i + 1.  The diagonal convention
+    makes each factor contain x_i.
     """
     k, offsets = A.omega.k, A.omega.offsets
     return tuple(
-        GradedPolynomial(k, {n + 1: _generator(k, i, A.rows[offsets[i]:offsets[i + 1]])})
+        GradedPolynomial(k, {n + 1: _multiples(k, n + 1, i, A.rows[offsets[i]:offsets[i + 1]])[0]})
         for i, n in enumerate(A.omega.dims)
     )
 
@@ -257,31 +257,19 @@ def _rows_read(omega: DimensionVector, d: int) -> tuple[int, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _divisible(k: int, d: int, i: int) -> tuple[int, ...]:
-    """The bits of the degree-d monomials that x_i divides, d >= 1."""
-    return tuple(b.bit_length() - 1 for b in _times_x(k, d - 1)[i])
-
-
 @functools.lru_cache(maxsize=32)
 def _degree_basis(omega: DimensionVector, d: int, low: tuple[int, ...]) -> DegreeBasis:
     """Echelon basis of I_d for every matrix over omega whose rows
     `_rows_read(omega, d)` are `low`: the span of the multiples x^mu * g_i
-    of degree d, one per monomial mu.  Each is (x^mu * x_i) times the linear
-    form of every row of block i, so it starts from a degree-(d - n_i)
-    monomial that x_i divides, and the first row's factor is one image entry."""
-    k, multiples, offsets = omega.k, [], omega.offsets
+    of degree d."""
+    k, offsets = omega.k, omega.offsets
     row = dict(zip(_rows_read(omega, d), low))
-    for i, n in enumerate(omega.dims):
-        if n < d:
-            first, *rest = [row[r] for r in range(offsets[i], offsets[i + 1])]
-            image, starts = _row_image(k, d - n, first & ~1), _divisible(k, d - n, i)
-            # x_1 keeps the monomial's bit
-            layer = [image[t] ^ ((first & 1) << t) for t in starts]
-            for deg, r in enumerate(rest, d - n + 1):
-                layer = [_times_linear(k, deg, r, m) for m in layer]
-            multiples += layer
-    return DegreeBasis(multiples)
+    return DegreeBasis(
+        multiple
+        for i, n in enumerate(omega.dims)
+        if n < d
+        for multiple in _multiples(k, d, i, [row[r] for r in range(offsets[i], offsets[i + 1])])
+    )
 
 
 def ideal_degree_basis(A: ReducedMatrix, d: int) -> DegreeBasis:

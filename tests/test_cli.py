@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -18,8 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincover import GradedPolynomial, census, cli, normal_form, to_matrix
+from spincover import (
+    DimensionVector, GradedPolynomial, census, cli, identity_matrix, normal_form,
+    serialize_matrix, to_matrix,
+)
 from spincover.cli import main
+from spincover.closedform import subset_dots
 
 from conftest import DATA, perfbench_common, run_cli
 
@@ -65,6 +70,14 @@ def test_check_json_output():
     assert obj["failed_condition"] == "i"
     assert obj["witness"] == [2]
     assert obj["k"]["1,2"] == 1
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_check_names_its_dot_table_in_subset_order(k):
+    # the cached key names pair with `subset_dots` by position
+    A = identity_matrix(DimensionVector((1,) * k))
+    want = [",".join(str(i + 1) for i in S) for S, _ in subset_dots(A, 3)]
+    assert list(cli._subset_names(k)) == want
 
 
 def test_check_rejects_malformed_file(tmp_path):
@@ -395,7 +408,7 @@ def test_an_interrupt_prints_aborted_and_exits_1(monkeypatch):
     assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
 
 
-@pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenPipeError])
+@pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenPipeError, MemoryError])
 def test_an_embedding_caller_sees_an_interrupt_or_a_closed_pipe(monkeypatch, error):
     def raising(**kwargs):
         raise error
@@ -456,10 +469,11 @@ def test_huge_space_is_refused_by_its_exponent(command, omega, bits):
     assert result.stderr == f"search space 2^{bits} exceeds budget 16777216\n"
 
 
-def _cap_address_space():
-    """Limit a child process to 1 GiB of address space, so that a command
-    which builds a huge matrix fails in the child instead of filling the host."""
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _cap_address_space(limit: int = 1 << 30):
+    """Limit a child process to `limit` bytes (1 GiB) of address space, so that
+    a command which builds a huge matrix fails in the child instead of filling
+    the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 CENSUS = ["--census", "census.jsonl"]
@@ -497,6 +511,25 @@ def test_a_matrix_of_more_entries_than_the_budget_is_refused(tmp_path, args, siz
     assert proc.stderr == f"matrix of {size} entries exceeds budget 16777216\n"
     assert proc.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["omega.json"]
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path, k):
+    # w_8 of the (1,)^k identity reads degree-8 tables of C(k + 7, 8) monomials,
+    # far beyond 512 MiB of address space: exit 1 would be a negative verdict.
+    path = tmp_path / "identity.txt"
+    path.write_text(serialize_matrix(identity_matrix(DimensionVector((1,) * k))))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spincover.cli", "sw", str(path), "-m", "8", "--oracle"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=functools.partial(_cap_address_space, 1 << 29),
+    )
+    assert time.perf_counter() - start < 20
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "out of memory\n")
 
 
 def _meets_the_exit_contract(result) -> None:

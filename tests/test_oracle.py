@@ -290,28 +290,41 @@ def test_oracle_matches_the_tuple_references_on_seeded_query_shapes(dims):
             assert sw_oracle(A, d).pieces.get(d, 0) == reduced[d]
 
 
-def test_row_images_are_shared_and_zero_rows_give_zero():
-    # Image entry t is monomial t times the row's linear form without x_1;
-    # x_1 keeps a monomial's bit, so a row with bit 0 adds the piece itself.
+def test_row_images_set_the_table_bits_and_zero_rows_give_zero():
+    # Image entry t is monomial t times the row's linear form, x_1 included:
+    # the XOR over the row's set bits j of the bit x_j times monomial t.
     rng = random.Random(3)
     for k in range(1, 6):
         for d in range(4):
             tables = oracle._times_x(k, d)
             count = len(tables[0])
             assert oracle._row_image(k, d, 0) == (0,) * count
-            for j in range(1, k):
-                assert oracle._row_image(k, d, 1 << j) is tables[j]
-            for row in range(0, 1 << k, 2):
+            for row in range(1 << k):
                 image = oracle._row_image(k, d, row)
                 for t in range(count):
                     want = 0
-                    for j in range(1, k):
+                    for j in range(k):
                         if (row >> j) & 1:
-                            want ^= tables[j][t]
+                            want ^= 1 << tables[j][t]
                     assert image[t] == want
                 mask = rng.getrandbits(count)
-                alone = oracle._times_linear(k, d, row, mask)
+                alone = oracle._times_linear(k, d, row & ~1, mask)
                 assert oracle._times_linear(k, d, row | 1, mask) == alone ^ mask
+
+
+def test_times_x_tables_hold_distinct_bit_indices():
+    # Row j maps the degree-d monomials to distinct degree-(d + 1) bit
+    # indices; x_1 times monomial t is monomial t.
+    for k in range(1, 7):
+        for d in range(5):
+            tables = oracle._times_x(k, d)
+            above = math.comb(d + k, d + 1)
+            assert len(tables) == k
+            for table in tables:
+                assert type(table) is tuple and len(table) == math.comb(d + k - 1, d)
+                assert all(type(b) is int and 0 <= b < above for b in table)
+                assert len(set(table)) == len(table)
+            assert tables[0] == tuple(range(len(tables[0])))
 
 
 def test_ideal_degree_basis_ranks(torus):
